@@ -54,7 +54,11 @@
 //!
 //! Everything is deterministic: ties in every policy break toward the
 //! lowest device index, so a `(workload, policy, profiles)` triple
-//! replays bit-identically.
+//! replays bit-identically. A traced run merges the router's log and
+//! every device's log by the explicit `(cycle, device, kind, seq)` key
+//! ([`TraceEvent::order_key`]) rather than a stable sort on cycle, so
+//! same-cycle events from different devices land in one pinned order
+//! however the logs are concatenated.
 //!
 //! # Two-stage routing for disaggregated fleets
 //!
@@ -94,65 +98,11 @@
 //! be larger) with its delivered first token on the record; landed
 //! handoffs compete for admission like any other candidate, keyed by
 //! their link-arrival instant, and may themselves preempt victims.
-//!
-//! # The parallel fleet drive
-//!
-//! With [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers)
-//! set to two or more, the inter-dispatch device stepping runs on a pool
-//! of scoped worker threads (`crate::parallel`) instead of one step at a
-//! time — bit-exact with the sequential loop, which remains the
-//! reference path.
-//!
-//! **Why devices are independent between dispatch points.** Let `H` be
-//! the arrival cycle of the earliest pending (finite) arrival. The
-//! dispatch gate only opens once the *minimum* clock among busy devices
-//! reaches `H`, so until every busy device's clock crosses `H` no new
-//! request enters the fleet, and the router observes nothing. In that
-//! window the sequential loop interleaves `step`/`admit` across devices
-//! (earliest clock first), but a device's queue, pool, and clock change
-//! only through its *own* steps and admissions — the interleaved
-//! admission passes on other devices are no-ops. Each busy device with
-//! clock below `H` therefore executes exactly the subsequence of
-//! operations the sequential loop would give it: `step` then `admit`,
-//! repeated while it has active work and its clock is below `H`. The
-//! parallel drive runs those per-device subsequences concurrently (one
-//! *phase* per dispatch point), then re-runs the dispatch fixpoint
-//! exactly as the sequential loop does. Closed-loop runs serialize while
-//! unreleased population slots remain — there a completion anywhere
-//! feeds the global dispatcher — and parallelize the drain tail, where
-//! releases are no-ops.
-//!
-//! **Why handoffs do not break the independence argument.** A handoff is
-//! cross-device coupling the horizon cannot see: a `Prefill`-role device
-//! finishing a prompt mid-phase would hand the continuation to another
-//! device *before* `H`. The parallel drive therefore serializes —
-//! earliest clock first, exactly like the sequential loop — whenever any
-//! `Prefill`-role device holds active work, so every handoff is produced,
-//! routed, and booked in sequential order. Once no `Prefill`-role device
-//! is busy, no new handoff can appear before the next dispatch point
-//! (only `Prefill`-role devices extract handoffs, and an idle device is
-//! not stepped mid-phase), and handoffs already *routed* are local state
-//! of their destination — a fixed arrival instant admitted by that
-//! device's own `admit`, no different from a queued arrival — so the
-//! phase argument above applies unchanged. In the common disaggregated
-//! regime the prefill pool drains prompts in bursts and the long decode
-//! tail dominates; the decode pool still parallelizes across workers.
-//!
-//! **Why the merge is deterministic.** Per-device end states are
-//! identical by the argument above, and every fleet aggregate is either
-//! accumulated in device index order, computed by an order-independent
-//! sweep (the fleet peak concurrency), or sorted by an explicit total
-//! order (the trace timeline's `(cycle, device, kind, seq)` key — see
-//! [`TraceEvent::order_key`]). The parallel drive's [`ServeReport`] and
-//! [`RunTrace`] are asserted bit-equal to the sequential reference
-//! across policies, heterogeneous fleets, preemption, and prefix reuse.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use crate::arrival::Workload;
-use crate::parallel::PhaseQueue;
-use crate::profile::{DeviceProfile, DeviceRole};
+use crate::profile::DeviceProfile;
 use crate::record::{merge_event_logs, RunTrace, TraceEvent};
 use crate::report::{
     DeviceReport, HandoffReport, PoolReport, PreemptReport, PrefixReport, RunTotals, ServeReport,
@@ -465,8 +415,8 @@ impl<'a> ServeSim<'a> {
     /// # Errors
     ///
     /// Returns [`ServeConfigError::EmptyFleet`],
-    /// [`ServeConfigError::ZeroThroughputProfile`], or
-    /// [`ServeConfigError::PrefixExceedsPrompt`].
+    /// [`ServeConfigError::ZeroThroughputProfile`], or any error of
+    /// [`ServeSim::validate_workload`].
     pub fn try_run_fleet_profiles(
         &self,
         workload: &Workload,
@@ -553,8 +503,8 @@ impl<'a> ServeSim<'a> {
     /// # Errors
     ///
     /// Returns [`ServeConfigError::EmptyFleet`],
-    /// [`ServeConfigError::ZeroThroughputProfile`], or
-    /// [`ServeConfigError::PrefixExceedsPrompt`].
+    /// [`ServeConfigError::ZeroThroughputProfile`], or any error of
+    /// [`ServeSim::validate_workload`].
     pub fn try_run_fleet_with_router(
         &self,
         workload: &Workload,
@@ -617,7 +567,7 @@ fn fleet_views(devs: &[DeviceSim<'_, '_>]) -> Vec<DeviceView> {
 }
 
 /// The fleet indices eligible for each routing stage, plus whether the
-/// fleet is role-specialized at all (when it is not, the drives use the
+/// fleet is role-specialized at all (when it is not, the drive uses the
 /// exact single-stage code paths — bit-exactness with all-`Unified`
 /// fleets by construction).
 struct StagePlan {
@@ -684,7 +634,7 @@ fn route_among(
 /// the destination's ledger, and logs the hop. Returns how many handoffs
 /// were routed (fixpoint progress).
 fn route_handoffs(
-    devs: &mut [&mut DeviceSim<'_, '_>],
+    devs: &mut [DeviceSim<'_, '_>],
     router: &mut dyn Router,
     decode_set: &[usize],
     route_log: &mut Vec<TraceEvent>,
@@ -693,7 +643,7 @@ fn route_handoffs(
     let mut routed = 0;
     for src in 0..devs.len() {
         for h in devs[src].take_outbound() {
-            let target = route_among(router, &h.req, decode_set, |i| device_view(i, devs[i]));
+            let target = route_among(router, &h.req, decode_set, |i| device_view(i, &devs[i]));
             let cycles = devs[src].handoff_transfer_cycles(h.bytes);
             let arrival = h.ready_cycle + cycles;
             devs[src].note_handoff_out(h.bytes, cycles);
@@ -720,10 +670,6 @@ fn route_handoffs(
 /// history — ordered by the explicit `(cycle, device, kind, seq)` key —
 /// is returned as the [`RunTrace`]. Observation only: the simulated run
 /// itself is bit-exact with an untraced one.
-///
-/// This is the sequential reference path; with
-/// [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers) at
-/// two or more it delegates to the bit-exact [`drive_parallel`].
 pub(crate) fn drive<'a>(
     sim: &ServeSim<'a>,
     workload: &Workload,
@@ -735,10 +681,6 @@ pub(crate) fn drive<'a>(
     let n = scheds.len();
     assert!(n >= 1, "at least one device");
     assert_eq!(n, profiles.len(), "one profile per scheduler slice");
-    let workers = sim.config().fleet_workers.unwrap_or(1).min(n);
-    if workers >= 2 {
-        return drive_parallel(sim, workload, scheds, profiles, router, trace, workers);
-    }
     let closed = workload.closed_loop.is_some();
     let plan = StagePlan::new(profiles);
     let name = report_name(scheds, router);
@@ -778,11 +720,10 @@ pub(crate) fn drive<'a>(
             }
             // Stage-2: route finished prefills onto decode devices (the
             // admissions above and the step below both produce them).
-            if plan.specialized {
-                let mut refs: Vec<&mut DeviceSim<'_, '_>> = devs.iter_mut().collect();
-                if route_handoffs(&mut refs, router, &plan.decode, &mut route_log, trace) > 0 {
-                    progress = true;
-                }
+            if plan.specialized
+                && route_handoffs(&mut devs, router, &plan.decode, &mut route_log, trace) > 0
+            {
+                progress = true;
             }
             // Dispatch every arrival due at or before the earliest busy
             // device clock; with the whole fleet idle the next arrival is
@@ -877,9 +818,8 @@ fn report_name(scheds: &[&mut dyn Scheduler], router: &dyn Router) -> String {
 /// pass has its `-1` sorted ahead of its own `+1`, correctly
 /// contributing zero occupancy — so non-negativity is asserted only at
 /// group boundaries, where every departure's admission has been
-/// counted. The sweep is order-independent across devices — it depends
-/// only on the union of the per-device delta logs — which keeps it
-/// identical between the sequential and parallel drives.
+/// counted. The sweep depends only on the union of the per-device delta
+/// logs, not on the order the devices are listed in.
 fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
     let mut deltas: Vec<(f64, i32)> = logs.iter().flat_map(|l| l.iter().copied()).collect();
     deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -901,213 +841,11 @@ fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
     usize::try_from(peak).expect("peak is non-negative")
 }
 
-/// The parallel fleet drive behind
-/// [`ServeConfig::fleet_workers`](crate::ServeConfig::fleet_workers):
-/// the same dispatch fixpoint as [`drive`], with the inter-dispatch
-/// device stepping executed by a pool of scoped worker threads (see the
-/// module docs for the independence argument). Bit-exact with the
-/// sequential drive for any worker count.
-fn drive_parallel<'a>(
-    sim: &ServeSim<'a>,
-    workload: &Workload,
-    scheds: &mut [&mut dyn Scheduler],
-    profiles: &[DeviceProfile<'a>],
-    router: &mut dyn Router,
-    trace: bool,
-    workers: usize,
-) -> (ServeReport, Option<RunTrace>) {
-    let n = scheds.len();
-    debug_assert!(workers >= 2 && workers <= n);
-    let closed = workload.closed_loop.is_some();
-    let plan = StagePlan::new(profiles);
-    let prefill_role: Vec<bool> = profiles
-        .iter()
-        .map(|p| p.role == DeviceRole::Prefill)
-        .collect();
-    let name = report_name(scheds, router);
-    let devs: Vec<DeviceSim<'_, '_>> = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let mut dev = DeviceSim::new(sim, p);
-            dev.device = i as u32;
-            dev.log = trace.then(Vec::new);
-            dev
-        })
-        .collect();
-    let mut route_log: Vec<TraceEvent> = Vec::new();
-    let mut pending: VecDeque<Request> = workload.requests.clone().into();
-    pending
-        .make_contiguous()
-        .sort_by(|a, b| a.arrival_cycle.total_cmp(&b.arrival_cycle));
-
-    // One slot per device: the device plus its scheduler, behind a mutex
-    // so the borrow checker proves worker/coordinator exclusivity. The
-    // phase barrier already guarantees it — the coordinator only touches
-    // slots while workers are parked — so the locks never contend.
-    let queue = PhaseQueue::new();
-    let cells: Vec<Mutex<_>> = devs
-        .into_iter()
-        .zip(scheds.iter_mut().map(|s| &mut **s))
-        .map(Mutex::new)
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some((slot, horizon)) = queue.claim() {
-                    {
-                        let mut cell = cells[slot].lock().expect("fleet slot poisoned");
-                        let (dev, sched) = &mut *cell;
-                        dev.run_until(horizon, &mut **sched);
-                    }
-                    queue.complete();
-                }
-            });
-        }
-        loop {
-            let mut slots: Vec<_> = cells
-                .iter()
-                .map(|c| c.lock().expect("fleet slot poisoned"))
-                .collect();
-            // ---- admission + dispatch, to a fixpoint (mirrors `drive`) ----
-            loop {
-                let mut progress = false;
-                for slot in slots.iter_mut() {
-                    let drops = slot.0.admit();
-                    if drops > 0 {
-                        progress = true;
-                        if closed {
-                            for _ in 0..drops {
-                                release_next_closed_loop(&mut pending, slot.0.now);
-                            }
-                        }
-                    }
-                }
-                // Stage-2: route finished prefills (mirrors `drive`).
-                if plan.specialized {
-                    let mut refs: Vec<&mut DeviceSim<'_, '_>> =
-                        slots.iter_mut().map(|s| &mut s.0).collect();
-                    if route_handoffs(&mut refs, router, &plan.decode, &mut route_log, trace) > 0 {
-                        progress = true;
-                    }
-                }
-                while let Some(head) = pending.front() {
-                    if !head.arrival_cycle.is_finite() {
-                        break;
-                    }
-                    let min_busy = slots
-                        .iter()
-                        .filter(|s| s.0.has_active())
-                        .map(|s| s.0.now)
-                        .min_by(f64::total_cmp);
-                    if min_busy.is_some_and(|clock| head.arrival_cycle > clock) {
-                        break;
-                    }
-                    let req = pending.pop_front().expect("head exists");
-                    let target = if plan.specialized {
-                        // Stage-1: prompts route over prefill-capable
-                        // devices only.
-                        route_among(router, &req, &plan.prefill, |i| device_view(i, &slots[i].0))
-                    } else {
-                        let views: Vec<DeviceView> = slots
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| device_view(i, &s.0))
-                            .collect();
-                        let target = router.route(&req, &views);
-                        assert!(
-                            target < n,
-                            "router `{}` picked device {target} of {n}",
-                            router.name()
-                        );
-                        target
-                    };
-                    if trace {
-                        route_log.push(TraceEvent::Route {
-                            id: req.id,
-                            device: target as u32,
-                            cycle: req.arrival_cycle,
-                        });
-                    }
-                    slots[target].0.enqueue(req);
-                    let drops = slots[target].0.admit();
-                    if closed && drops > 0 {
-                        let t = slots[target].0.now;
-                        for _ in 0..drops {
-                            release_next_closed_loop(&mut pending, t);
-                        }
-                    }
-                    progress = true;
-                }
-                if !progress {
-                    break;
-                }
-            }
-
-            let slots_unreleased = closed && pending.iter().any(|r| r.arrival_cycle.is_infinite());
-            // A busy `Prefill`-role device could produce a handoff — a
-            // cross-device coupling the phase horizon cannot see — so the
-            // drive serializes until the prefill pool is quiescent (see
-            // the module docs' handoff independence argument).
-            let prefill_busy =
-                plan.specialized && (0..n).any(|i| prefill_role[i] && slots[i].0.has_active());
-            if slots_unreleased || prefill_busy {
-                // Unreleased population slots remain (a completion on any
-                // device feeds the global dispatcher) or a handoff could
-                // be produced, so devices are not independent yet. Step
-                // exactly as the sequential loop does — earliest clock
-                // first, releases after the step.
-                let Some(i) = (0..n)
-                    .filter(|&i| slots[i].0.has_active())
-                    .min_by(|&a, &b| slots[a].0.now.total_cmp(&slots[b].0.now))
-                else {
-                    break; // drained (leftover slots can never release)
-                };
-                let slot = &mut *slots[i];
-                let completions = slot.0.step(&mut *slot.1);
-                if closed && completions > 0 {
-                    let t = slot.0.now;
-                    for _ in 0..completions {
-                        release_next_closed_loop(&mut pending, t);
-                    }
-                }
-                continue;
-            }
-
-            // ---- parallel phase: drive every busy device below the next
-            // dispatch horizon up to it ----
-            let horizon = pending.front().map_or(f64::INFINITY, |r| r.arrival_cycle);
-            let jobs: Vec<usize> = (0..n)
-                .filter(|&i| slots[i].0.has_active() && slots[i].0.now < horizon)
-                .collect();
-            if jobs.is_empty() {
-                // Drained: after the fixpoint a finite pending head
-                // implies a busy device with an earlier clock.
-                break;
-            }
-            drop(slots);
-            queue.run_phase(jobs, horizon);
-        }
-        queue.shutdown();
-    });
-
-    let devs: Vec<DeviceSim<'_, '_>> = cells
-        .into_iter()
-        .map(|c| c.into_inner().expect("fleet slot poisoned").0)
-        .collect();
-    debug_assert!(
-        devs.iter().all(DeviceSim::is_drained),
-        "parallel driver exited with undone device work"
-    );
-    merge_fleet(workload, devs, route_log, name, trace)
-}
-
 /// Merges drained per-device simulations into the fleet [`ServeReport`]
-/// (and, when tracing, the [`RunTrace`]). Shared by the sequential and
-/// parallel drives: every aggregate is either accumulated in device
-/// index order, computed by an order-independent sweep, or sorted by an
-/// explicit total order, so identical per-device end states merge into
-/// bit-identical reports regardless of how the devices were driven.
+/// (and, when tracing, the [`RunTrace`]). Every aggregate is either
+/// accumulated in device index order, computed by an order-independent
+/// sweep, or sorted by an explicit total order, so the merged report
+/// depends only on the per-device end states.
 fn merge_fleet(
     workload: &Workload,
     mut devs: Vec<DeviceSim<'_, '_>>,
@@ -1349,8 +1087,7 @@ mod tests {
     /// of per-device peaks reached at different instants, and a
     /// departure and an admission at the same cycle do not overlap
     /// (half-open intervals). The sweep must also be independent of the
-    /// order devices are listed in, since the parallel drive steps them
-    /// in nondeterministic wall-clock order.
+    /// order devices are listed in.
     #[test]
     fn fleet_peak_concurrency_is_simultaneous_not_summed() {
         // Two devices, each peaking at 1, in disjoint windows: the old

@@ -418,8 +418,8 @@ pub struct ServeReport {
     /// merged fleet timeline (a request counts from admission until
     /// completion or eviction; a departure and an admission at the same
     /// instant do not overlap). This is a true simultaneous fleet-wide
-    /// peak — not a sum of per-device peaks taken at different local
-    /// instants — and is identical for sequential and parallel drives.
+    /// peak, not a sum of per-device peaks taken at different local
+    /// instants.
     pub peak_concurrency: usize,
     /// Total accelerator energy in joules.
     pub energy_joules: f64,

@@ -107,14 +107,6 @@ pub struct ServeConfig {
     /// latency is charged at the configured host link and is *not* scaled
     /// by the fleet (one host link per serving instance).
     pub preempt: PreemptConfig,
-    /// Worker threads for the fleet drive loop. `None` (the default) and
-    /// `Some(1)` run the sequential reference loop; `Some(n ≥ 2)` steps
-    /// independent busy devices between dispatch points on a scoped
-    /// worker pool (see `crate::dispatch` module docs). The parallel
-    /// drive is bit-exact with the sequential reference — identical
-    /// [`ServeReport`] and `RunTrace` — regardless of worker count, so
-    /// this knob trades wall-clock time only, never results.
-    pub fleet_workers: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -127,7 +119,6 @@ impl Default for ServeConfig {
             kv_budget_bytes: None,
             fleet: Fleet::single(),
             preempt: PreemptConfig::default(),
-            fleet_workers: None,
         }
     }
 }
@@ -162,9 +153,6 @@ pub enum ServeConfigError {
     /// A fleet run was given no device profiles: there is no device to
     /// dispatch to.
     EmptyFleet,
-    /// `fleet_workers == Some(0)`: no worker could ever step a device
-    /// (use `None` for the sequential reference loop).
-    ZeroFleetWorkers,
     /// A [`DeviceProfile`]'s throughput weight is zero, negative, or
     /// non-finite: weighted-JSQ dispatch would divide by it.
     ZeroThroughputProfile {
@@ -187,6 +175,15 @@ pub enum ServeConfigError {
         prefix_tokens: usize,
         /// The request's prompt length in tokens.
         prompt_len: usize,
+    },
+    /// A request's arrival cycle is NaN, negative infinity, or — in an
+    /// open-loop workload — positive infinity. The drive sorts such an
+    /// arrival last and never dispatches it, so the request would vanish
+    /// from the report uncounted. Closed-loop workloads encode each
+    /// unreleased population slot as `+∞`, which stays valid there.
+    NonFiniteArrival {
+        /// The offending request.
+        request: RequestId,
     },
     /// Two requests declare the same [`PrefixId`] with different lengths —
     /// ids are content-addressed, so one id must always name one prefix.
@@ -227,10 +224,6 @@ impl std::fmt::Display for ServeConfigError {
             ServeConfigError::EmptyFleet => {
                 write!(f, "a fleet needs at least one device profile")
             }
-            ServeConfigError::ZeroFleetWorkers => write!(
-                f,
-                "fleet workers must be positive (use None for the sequential loop)"
-            ),
             ServeConfigError::ZeroThroughputProfile { device } => write!(
                 f,
                 "device profile {device} has a non-positive throughput weight: \
@@ -254,6 +247,11 @@ impl std::fmt::Display for ServeConfigError {
                 f,
                 "request {request} declares a {prefix_tokens}-token shared prefix on a \
                  {prompt_len}-token prompt: a prefix cannot outgrow its prompt"
+            ),
+            ServeConfigError::NonFiniteArrival { request } => write!(
+                f,
+                "request {request} has a non-finite arrival cycle: it could never be \
+                 dispatched (only a closed-loop workload may hold +inf, unreleased slots)"
             ),
             ServeConfigError::PrefixLengthConflict {
                 prefix,
@@ -287,9 +285,6 @@ impl ServeConfig {
         }
         if self.prefill_chunk == Some(0) {
             return Err(ServeConfigError::ZeroPrefillChunk);
-        }
-        if self.fleet_workers == Some(0) {
-            return Err(ServeConfigError::ZeroFleetWorkers);
         }
         match (self.step_token_budget, self.prefill_chunk) {
             (Some(0), _) => Err(ServeConfigError::ZeroStepTokenBudget),
@@ -629,20 +624,27 @@ impl<'a> ServeSim<'a> {
         (report, trace.expect("tracing was requested"))
     }
 
-    /// Checks a workload's internal consistency: every declared
-    /// [`crate::SharedPrefix`] must fit inside its request's prompt, and
-    /// one [`PrefixId`] must always be declared with one length (ids are
-    /// content-addressed).
+    /// Checks a workload's internal consistency: every arrival cycle must
+    /// be finite (or `+∞`, an unreleased slot, in a closed-loop workload),
+    /// every declared [`crate::SharedPrefix`] must fit inside its
+    /// request's prompt, and one [`PrefixId`] must always be declared with
+    /// one length (ids are content-addressed).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeConfigError::PrefixExceedsPrompt`] or
+    /// Returns [`ServeConfigError::NonFiniteArrival`],
+    /// [`ServeConfigError::PrefixExceedsPrompt`] or
     /// [`ServeConfigError::PrefixLengthConflict`] for the first
     /// offending request.
     pub fn validate_workload(workload: &Workload) -> Result<(), ServeConfigError> {
+        let closed = workload.closed_loop.is_some();
         let mut declared: std::collections::BTreeMap<PrefixId, usize> =
             std::collections::BTreeMap::new();
         for r in &workload.requests {
+            let unreleased_slot = closed && r.arrival_cycle == f64::INFINITY;
+            if !(r.arrival_cycle.is_finite() || unreleased_slot) {
+                return Err(ServeConfigError::NonFiniteArrival { request: r.id });
+            }
             if let Some(p) = r.prefix {
                 if p.tokens > r.prompt_len {
                     return Err(ServeConfigError::PrefixExceedsPrompt {
@@ -756,8 +758,7 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// when a request enters the active set (fresh or resumed admission),
     /// `(cycle, -1)` when it leaves (eviction or completion). The fleet
     /// merge sweeps the union of every device's deltas for the true
-    /// fleet-wide simultaneous peak — an order-independent reduction, so
-    /// it is deterministic under parallel device stepping.
+    /// fleet-wide simultaneous peak.
     pub(crate) conc_log: Vec<(f64, i32)>,
     pub(crate) dispatched: usize,
     /// Fleet index of this device (stamped onto recorded events).
@@ -1762,26 +1763,6 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         completions
     }
 
-    /// Drives this device alone up to `horizon`: steps while it holds
-    /// active work and its clock sits strictly before the horizon,
-    /// re-running local admission after every step — exactly the
-    /// subsequence of the sequential drive loop that touches this device
-    /// between dispatch points, which is what makes the parallel fleet
-    /// phase bit-exact (see the `crate::dispatch` module docs). The
-    /// caller guarantees no cross-device coupling is live before
-    /// `horizon`: no dispatch is due, no closed-loop slot can release,
-    /// and no device can produce a handoff (every [`DeviceRole::Prefill`]
-    /// device is quiescent — the driver serializes whenever one is
-    /// busy). Inbound handoffs already routed to this device are fine:
-    /// their arrival instant is fixed, so admitting them is purely local
-    /// work.
-    pub(crate) fn run_until(&mut self, horizon: f64, scheduler: &mut dyn Scheduler) {
-        while self.has_active() && self.now < horizon {
-            self.step(scheduler);
-            self.admit();
-        }
-    }
-
     /// Total device-busy cycles: executed steps plus swap stalls.
     pub(crate) fn busy_cycles(&self) -> f64 {
         self.busy_cycles + self.tally.swap_cycles
@@ -2349,6 +2330,55 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
+    }
+
+    /// A NaN arrival, or an infinite one in an open-loop workload, sorts
+    /// last and is never dispatched: unchecked, a 3-request run reports
+    /// 2 completed, 0 dropped and no error. Both the single-device and
+    /// the fleet entry points must reject it with a typed error, while a
+    /// closed loop's `+∞` unreleased slots stay valid.
+    #[test]
+    fn non_finite_arrivals_are_rejected_not_silently_lost() {
+        let accel = Toy;
+        let sim = ServeSim::new(&accel, template(0.3), ServeConfig::default());
+        let fleet = [DeviceProfile::uniform(); 2];
+        let mut mk = || -> Box<dyn Scheduler> { Box::new(ContinuousBatchScheduler::new()) };
+        let with_arrival = |closed_loop: Option<usize>, arrival: f64| Workload {
+            requests: (0..3)
+                .map(|i| {
+                    let at = if i == 1 { arrival } else { 1000.0 * i as f64 };
+                    Request::from_task(i, &Task::cola(), at)
+                })
+                .collect(),
+            closed_loop,
+        };
+        let rejected = Err(ServeConfigError::NonFiniteArrival { request: 1 });
+        let cases = [
+            (None, f64::NAN),
+            (None, f64::INFINITY),
+            (None, f64::NEG_INFINITY),
+            (Some(2), f64::NAN),
+            (Some(2), f64::NEG_INFINITY),
+        ];
+        for (closed_loop, arrival) in cases {
+            let w = with_arrival(closed_loop, arrival);
+            let label = format!("closed_loop {closed_loop:?}, arrival {arrival}");
+            assert_eq!(ServeSim::validate_workload(&w), rejected, "{label}");
+            let fleet_run =
+                sim.try_run_fleet_profiles(&w, &fleet, DispatchPolicy::RoundRobin, &mut mk);
+            assert_eq!(fleet_run.err(), rejected.err(), "{label}");
+            let single = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run(&w, &mut ContinuousBatchScheduler::new())
+            }));
+            assert!(single.is_err(), "{label}: single-device run must refuse");
+        }
+        // A closed loop's `+∞` arrivals are unreleased population slots.
+        let w = with_arrival(Some(2), f64::INFINITY);
+        assert_eq!(ServeSim::validate_workload(&w), Ok(()));
+        let report = sim
+            .try_run_fleet_profiles(&w, &fleet, DispatchPolicy::RoundRobin, &mut mk)
+            .expect("closed-loop slots are valid");
+        assert_eq!(report.completed, 3);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property-based byte conservation for disaggregated KV handoffs: over
-//! arbitrary traces, fleet shapes, dispatch policies, eviction policies
-//! (drop-and-recompute and swap racing the handoffs), pool pressure, and
-//! link speeds, every byte that leaves a prefill device's pool is
-//! accounted for — it is either still in flight on the link or already
-//! re-reserved (or dropped with a record) on the decode device — at every
-//! point of the recorded event stream, and nothing is in flight once the
-//! run drains.
+//! arbitrary traces, fleet shapes, role mixes, dispatch policies,
+//! eviction policies (drop-and-recompute and swap racing the handoffs),
+//! pool pressure, link speeds, and open- versus closed-loop load, every
+//! request is either completed or dropped, and every byte that leaves a
+//! prefill device's pool is accounted for — it is either still in flight
+//! on the link or already re-reserved (or dropped with a record) on the
+//! decode device — at every point of the recorded event stream, and
+//! nothing is in flight once the run drains.
 
 use std::sync::OnceLock;
 
@@ -20,7 +21,7 @@ use mcbp_workloads::{
 use proptest::prelude::*;
 
 /// Analytic accelerator with the qualitative serving shape (see
-/// `parallel_drive_properties.rs`): exact arithmetic, fast enough for
+/// `step_budget_properties.rs`): exact arithmetic, fast enough for
 /// hundreds of simulated fleet runs.
 struct Toy;
 
@@ -214,7 +215,10 @@ proptest! {
     /// flight plus bytes landed on the decode pool — including cases
     /// where drop-and-recompute or swap preemption races a handoff on
     /// the destination, and where the destination pool is too small and
-    /// the handoff drops on arrival.
+    /// the handoff drops on arrival. `roles` picks the role mix: 0 splits
+    /// the fleet into `Prefill` and `Decode` pools, 1 feeds `Unified`
+    /// peers (which also take their own prompts) from the `Prefill`
+    /// pool, and 2 makes every device `Unified`, so nothing hands off.
     #[test]
     fn handoff_bytes_are_conserved_at_every_cycle(
         raw in proptest::collection::vec(
@@ -230,6 +234,7 @@ proptest! {
         zero_link in 0u8..2,
         closed in 0u8..2,
         concurrency in 1usize..6,
+        roles in 0u8..3,
     ) {
         let policy = DispatchPolicy::ALL[policy_ix];
         let workload = workload_from(&raw, (closed == 1).then_some(concurrency.min(raw.len())));
@@ -254,7 +259,12 @@ proptest! {
         let split = split.min(devices - 1);
         let profiles: Vec<DeviceProfile> = (0..devices)
             .map(|i| {
-                let role = if i < split { DeviceRole::Prefill } else { DeviceRole::Decode };
+                let role = match (roles, i < split) {
+                    (2, _) => DeviceRole::Unified,
+                    (_, true) => DeviceRole::Prefill,
+                    (1, false) => DeviceRole::Unified,
+                    _ => DeviceRole::Decode,
+                };
                 let p = DeviceProfile::uniform().with_role(role);
                 if zero_link == 1 { p.with_host_link(f64::INFINITY) } else { p }
             })
@@ -273,8 +283,9 @@ proptest! {
         prop_assert_eq!(totals.handoffs_out, totals.handoffs_in);
         prop_assert_eq!(totals.bytes_out, totals.bytes_in);
 
-        // Every decode-carrying request that survived its prompt hands
-        // off exactly once: no Prefill-role device can decode.
+        // Every decode-carrying request that survived its prompt on a
+        // Prefill-role device hands off exactly once: no Prefill-role
+        // device can decode.
         let handed = flights(&trace.events);
         prop_assert_eq!(handed.len() as u64, totals.handoffs_out);
 
@@ -291,7 +302,8 @@ proptest! {
         prop_assert_eq!(totals.peak_in_flight_bytes > 0, totals.bytes_out > 0);
 
         // Per-lane attribution: outbound bytes sit on prefill lanes,
-        // inbound bytes on decode lanes, and the lanes sum to the totals.
+        // inbound bytes on decode-capable lanes (`Unified` lanes never
+        // hand out), and the lanes sum to the totals.
         let mut lane_out = 0u64;
         let mut lane_in = 0u64;
         for (i, lane) in report.devices.iter().enumerate() {

@@ -10,8 +10,9 @@
 //! PR 3 planners (transcribed here, emitting only pure plans) on the full
 //! recorded plan sequence *and* the resulting `ServeReport`s.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::OnceLock;
-use std::sync::{Arc, Mutex};
 
 use mcbp_model::LlmConfig;
 use mcbp_serve::{
@@ -111,16 +112,16 @@ fn workload_from(raw: &[RawRequest]) -> Workload {
 /// planned token count, for post-run assertions.
 struct Recording<S> {
     inner: S,
-    plans: Arc<Mutex<Vec<StepPlan>>>,
-    max_tokens: Arc<Mutex<usize>>,
+    plans: Rc<RefCell<Vec<StepPlan>>>,
+    max_tokens: Rc<Cell<usize>>,
 }
 
 impl<S> Recording<S> {
     fn new(inner: S) -> Self {
         Recording {
             inner,
-            plans: Arc::new(Mutex::new(Vec::new())),
-            max_tokens: Arc::new(Mutex::new(0)),
+            plans: Rc::new(RefCell::new(Vec::new())),
+            max_tokens: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -132,11 +133,9 @@ impl<S: Scheduler> Scheduler for Recording<S> {
 
     fn plan(&mut self, view: &SchedView<'_>) -> StepPlan {
         let plan = self.inner.plan(view);
-        {
-            let mut max = self.max_tokens.lock().expect("max lock");
-            *max = (*max).max(plan.planned_tokens(view));
-        }
-        self.plans.lock().expect("plans lock").push(plan.clone());
+        self.max_tokens
+            .set(self.max_tokens.get().max(plan.planned_tokens(view)));
+        self.plans.borrow_mut().push(plan.clone());
         plan
     }
 }
@@ -284,14 +283,12 @@ proptest! {
         let workload = workload_from(&raw);
         let (report, max_tokens) = if priority_sched == 1 {
             let mut sched = Recording::new(mcbp_serve::PriorityScheduler::new());
-            let max = Arc::clone(&sched.max_tokens);
-            let out = (sim.run(&workload, &mut sched), *max.lock().expect("max lock"));
-            out
+            let max = Rc::clone(&sched.max_tokens);
+            (sim.run(&workload, &mut sched), max.get())
         } else {
             let mut sched = Recording::new(mcbp_serve::ContinuousBatchScheduler::new());
-            let max = Arc::clone(&sched.max_tokens);
-            let out = (sim.run(&workload, &mut sched), *max.lock().expect("max lock"));
-            out
+            let max = Rc::clone(&sched.max_tokens);
+            (sim.run(&workload, &mut sched), max.get())
         };
         prop_assert!(
             max_tokens <= budget,
@@ -328,26 +325,25 @@ proptest! {
         let workload = workload_from(&raw);
         let ((new_report, new_plans), (ref_report, ref_plans)) = if priority_sched == 1 {
             let mut new_sched = Recording::new(mcbp_serve::PriorityScheduler::new());
-            let new_plans = Arc::clone(&new_sched.plans);
+            let new_plans = Rc::clone(&new_sched.plans);
             let mut ref_sched = Recording::new(Pr3Priority::default());
-            let ref_plans = Arc::clone(&ref_sched.plans);
+            let ref_plans = Rc::clone(&ref_sched.plans);
             (
                 (sim.run(&workload, &mut new_sched), new_plans),
                 (sim.run(&workload, &mut ref_sched), ref_plans),
             )
         } else {
             let mut new_sched = Recording::new(mcbp_serve::ContinuousBatchScheduler::new());
-            let new_plans = Arc::clone(&new_sched.plans);
+            let new_plans = Rc::clone(&new_sched.plans);
             let mut ref_sched = Recording::new(Pr3ContinuousBatch::default());
-            let ref_plans = Arc::clone(&ref_sched.plans);
+            let ref_plans = Rc::clone(&ref_sched.plans);
             (
                 (sim.run(&workload, &mut new_sched), new_plans),
                 (sim.run(&workload, &mut ref_sched), ref_plans),
             )
         };
         prop_assert_eq!(
-            &*new_plans.lock().expect("plans lock"),
-            &*ref_plans.lock().expect("plans lock"),
+            &*new_plans.borrow(), &*ref_plans.borrow(),
             "plan sequences diverged"
         );
         prop_assert_eq!(new_report, ref_report);
@@ -377,19 +373,16 @@ fn budget_none_equivalence_holds_on_a_bursty_class_mix() {
     }
     .generate();
     let mut new_sched = Recording::new(mcbp_serve::PriorityScheduler::new());
-    let new_plans = Arc::clone(&new_sched.plans);
+    let new_plans = Rc::clone(&new_sched.plans);
     let mut ref_sched = Recording::new(Pr3Priority::default());
-    let ref_plans = Arc::clone(&ref_sched.plans);
+    let ref_plans = Rc::clone(&ref_sched.plans);
     let new_report = sim.run(&load, &mut new_sched);
     let ref_report = sim.run(&load, &mut ref_sched);
     assert!(
-        new_plans.lock().expect("plans lock").len() > 20,
+        new_plans.borrow().len() > 20,
         "the trace must exercise a real schedule"
     );
-    assert_eq!(
-        &*new_plans.lock().expect("plans lock"),
-        &*ref_plans.lock().expect("plans lock")
-    );
+    assert_eq!(&*new_plans.borrow(), &*ref_plans.borrow());
     assert_eq!(new_report, ref_report);
     assert_eq!(new_report.steps.mixed_steps, 0, "no budget, no mixed steps");
 }
