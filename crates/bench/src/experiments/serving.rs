@@ -384,11 +384,12 @@ fn run_fleet_point(engine: &Engine, devices: usize, policy: DispatchPolicy) -> S
         kv_budget_bytes: Some(tight_budget(&model, 4)),
         ..ServeConfig::default()
     };
-    engine
-        .serve_sim(0.3, cfg)
-        .run_fleet(&fleet_trace(), devices, policy, &mut || {
-            Box::new(ContinuousBatchScheduler::new())
-        })
+    engine.serve_sim(0.3, cfg).run_fleet_profiles(
+        &fleet_trace(),
+        &vec![DeviceProfile::uniform(); devices],
+        policy,
+        &mut || Box::new(ContinuousBatchScheduler::new()),
+    )
 }
 
 /// p95 TTFT of the interactive class, in seconds.

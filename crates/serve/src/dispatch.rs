@@ -85,11 +85,12 @@
 //!    ([`crate::PreemptConfig::transfer_cycles`]) — the transfer
 //!    overlaps compute DMA-style, so the latency lands on the request's
 //!    availability (TTFT), not on either device's clock — and are held
-//!    by the destination's [`crate::HandoffLedger`] until its admission
+//!    by the destination's [`crate::CustodyLedger`] until its admission
 //!    re-reserves them ([`TraceEvent::Handoff`] records the hop).
-//!    `Unified` devices never hand off: they decode locally, which is
-//!    why an all-`Unified` fleet takes the pre-disaggregation code
-//!    paths bit-exactly.
+//!    `Unified` and `Decode` devices never hand off, so only the
+//!    `Prefill`-role devices are polled for continuations. On an
+//!    all-`Unified` fleet stage 1 sees every device (position equals
+//!    index) and stage 2 never fires.
 //!
 //! Prompt-only requests (`decode_len == 0`) and single-token requests
 //! (`decode_len == 1`) complete on their prefill device — there is no
@@ -102,7 +103,7 @@
 use std::collections::VecDeque;
 
 use crate::arrival::Workload;
-use crate::profile::DeviceProfile;
+use crate::profile::{DeviceProfile, DeviceRole};
 use crate::record::{merge_event_logs, RunTrace, TraceEvent};
 use crate::report::{
     DeviceReport, HandoffReport, PoolReport, PreemptReport, PrefixReport, RunTotals, ServeReport,
@@ -329,21 +330,20 @@ impl Router for PolicyRouter {
 }
 
 impl<'a> ServeSim<'a> {
-    /// Runs one workload across `devices` identical devices under the
-    /// given dispatch policy — the classic uniform fleet, equivalent to
-    /// [`ServeSim::run_fleet_profiles`] with `devices` copies of
-    /// [`DeviceProfile::uniform`]. Every device gets its own KV pool
-    /// (budgeted per
+    /// Runs one workload across a fleet described by per-device
+    /// [`DeviceProfile`]s under a built-in dispatch policy. Every device
+    /// gets its own KV pool (the profile's budget, else
     /// [`ServeConfig::kv_budget_bytes`](crate::ServeConfig::kv_budget_bytes)),
     /// its own scheduler from `make_scheduler`, and its own clock; the
     /// merged [`ServeReport`] carries a per-device breakdown in
-    /// [`ServeReport::devices`].
+    /// [`ServeReport::devices`]. `n` copies of [`DeviceProfile::uniform`]
+    /// make the classic fleet of identical devices.
     ///
     /// ```
     /// use mcbp_model::LlmConfig;
     /// use mcbp_serve::{
-    ///     ArrivalProcess, ContinuousBatchScheduler, DispatchPolicy, LoadGenerator,
-    ///     ServeConfig, ServeSim,
+    ///     ArrivalProcess, ContinuousBatchScheduler, DeviceProfile, DispatchPolicy,
+    ///     LoadGenerator, ServeConfig, ServeSim,
     /// };
     /// use mcbp_sim::{McbpConfig, McbpSim};
     /// use mcbp_workloads::{SparsityProfile, Task, TraceContext, WeightGenerator};
@@ -360,8 +360,8 @@ impl<'a> ServeSim<'a> {
     /// let workload = LoadGenerator::uniform(
     ///     Task::cola(), 6, ArrivalProcess::ClosedLoop { concurrency: 6 },
     /// ).generate();
-    /// let report = sim.run_fleet(
-    ///     &workload, 2, DispatchPolicy::JoinShortestQueue,
+    /// let report = sim.run_fleet_profiles(
+    ///     &workload, &vec![DeviceProfile::uniform(); 2], DispatchPolicy::JoinShortestQueue,
     ///     &mut || Box::new(ContinuousBatchScheduler::new()),
     /// );
     /// assert_eq!(report.completed, 6);
@@ -372,29 +372,9 @@ impl<'a> ServeSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on a zero device count, an invalid workload, internal
-    /// accounting violations, or a scheduler contract violation.
-    #[must_use]
-    pub fn run_fleet(
-        &self,
-        workload: &Workload,
-        devices: usize,
-        policy: DispatchPolicy,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> ServeReport {
-        let profiles = vec![DeviceProfile::uniform(); devices];
-        self.run_fleet_profiles(workload, &profiles, policy, make_scheduler)
-    }
-
-    /// Runs one workload across a fleet described by per-device
-    /// [`DeviceProfile`]s under a built-in dispatch policy. A fleet of
-    /// [`DeviceProfile::uniform`] profiles is bit-exact with
-    /// [`ServeSim::run_fleet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`ServeSim::try_run_fleet_profiles`] would return an
-    /// error, and on internal accounting or scheduler contract violations.
+    /// Panics where [`ServeSim::try_run_fleet_with_router`] would return
+    /// an error, and on internal accounting or scheduler contract
+    /// violations.
     #[must_use]
     pub fn run_fleet_profiles(
         &self,
@@ -403,29 +383,7 @@ impl<'a> ServeSim<'a> {
         policy: DispatchPolicy,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> ServeReport {
-        match self.try_run_fleet_profiles(workload, profiles, policy, make_scheduler) {
-            Ok(report) => report,
-            Err(e) => panic!("invalid fleet run: {e}"),
-        }
-    }
-
-    /// Like [`ServeSim::run_fleet_profiles`], but rejects an invalid
-    /// fleet or workload with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeConfigError::EmptyFleet`],
-    /// [`ServeConfigError::ZeroThroughputProfile`], or any error of
-    /// [`ServeSim::validate_workload`].
-    pub fn try_run_fleet_profiles(
-        &self,
-        workload: &Workload,
-        profiles: &[DeviceProfile<'a>],
-        policy: DispatchPolicy,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<ServeReport, ServeConfigError> {
-        let mut router = policy.router();
-        self.try_run_fleet_with_router(workload, profiles, &mut router, make_scheduler)
+        self.run_fleet_with_router(workload, profiles, &mut policy.router(), make_scheduler)
     }
 
     /// Like [`ServeSim::run_fleet_profiles`], but additionally records
@@ -445,34 +403,8 @@ impl<'a> ServeSim<'a> {
         policy: DispatchPolicy,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> (ServeReport, RunTrace) {
-        match self.try_run_fleet_profiles_traced(workload, profiles, policy, make_scheduler) {
-            Ok(out) => out,
-            Err(e) => panic!("invalid fleet run: {e}"),
-        }
-    }
-
-    /// Like [`ServeSim::run_fleet_profiles_traced`], but rejects an
-    /// invalid fleet or workload with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the errors [`ServeSim::try_run_fleet_profiles`] would.
-    pub fn try_run_fleet_profiles_traced(
-        &self,
-        workload: &Workload,
-        profiles: &[DeviceProfile<'a>],
-        policy: DispatchPolicy,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<(ServeReport, RunTrace), ServeConfigError> {
-        DeviceProfile::validate_fleet(profiles)?;
-        ServeSim::validate_workload(workload)?;
         let mut router = policy.router();
-        let mut scheds: Vec<Box<dyn Scheduler>> =
-            (0..profiles.len()).map(|_| make_scheduler()).collect();
-        let mut refs: Vec<&mut dyn Scheduler> =
-            scheds.iter_mut().map(|s| s.as_mut() as _).collect();
-        let (report, trace) = drive(self, workload, &mut refs, profiles, &mut router, true);
-        Ok((report, trace.expect("tracing was requested")))
+        traced(self.execute_fleet(workload, profiles, &mut router, make_scheduler, true))
     }
 
     /// Runs one workload across a profiled fleet under a **custom**
@@ -491,19 +423,16 @@ impl<'a> ServeSim<'a> {
         router: &mut dyn Router,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> ServeReport {
-        match self.try_run_fleet_with_router(workload, profiles, router, make_scheduler) {
-            Ok(report) => report,
-            Err(e) => panic!("invalid fleet run: {e}"),
-        }
+        expect_valid(self.execute_fleet(workload, profiles, router, make_scheduler, false)).0
     }
 
     /// Like [`ServeSim::run_fleet_with_router`], but rejects an invalid
-    /// fleet or workload with a typed error instead of panicking.
+    /// fleet or workload with a typed error instead of panicking (pass
+    /// [`DispatchPolicy::router`] for a built-in policy).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeConfigError::EmptyFleet`],
-    /// [`ServeConfigError::ZeroThroughputProfile`], or any error of
+    /// Returns any error of [`DeviceProfile::validate_fleet`] or
     /// [`ServeSim::validate_workload`].
     pub fn try_run_fleet_with_router(
         &self,
@@ -512,14 +441,56 @@ impl<'a> ServeSim<'a> {
         router: &mut dyn Router,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> Result<ServeReport, ServeConfigError> {
+        Ok(self
+            .execute_fleet(workload, profiles, router, make_scheduler, false)?
+            .0)
+    }
+
+    /// [`ServeSim::execute`] with one scheduler from `make_scheduler` per
+    /// device.
+    fn execute_fleet(
+        &self,
+        workload: &Workload,
+        profiles: &[DeviceProfile<'a>],
+        router: &mut dyn Router,
+        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
+        trace: bool,
+    ) -> Result<(ServeReport, Option<RunTrace>), ServeConfigError> {
+        let mut owned: Vec<Box<dyn Scheduler>> =
+            profiles.iter().map(|_| make_scheduler()).collect();
+        let mut scheds: Vec<&mut dyn Scheduler> =
+            owned.iter_mut().map(|s| s.as_mut() as _).collect();
+        self.execute(workload, profiles, router, &mut scheds, trace)
+    }
+
+    /// The one run body behind every `run*` entry point: validates the
+    /// fleet and the workload, then drives them (one scheduler slice per
+    /// profile), recording a [`RunTrace`] when `trace` is set.
+    pub(crate) fn execute(
+        &self,
+        workload: &Workload,
+        profiles: &[DeviceProfile<'a>],
+        router: &mut dyn Router,
+        scheds: &mut [&mut dyn Scheduler],
+        trace: bool,
+    ) -> Result<(ServeReport, Option<RunTrace>), ServeConfigError> {
         DeviceProfile::validate_fleet(profiles)?;
         ServeSim::validate_workload(workload)?;
-        let mut scheds: Vec<Box<dyn Scheduler>> =
-            (0..profiles.len()).map(|_| make_scheduler()).collect();
-        let mut refs: Vec<&mut dyn Scheduler> =
-            scheds.iter_mut().map(|s| s.as_mut() as _).collect();
-        Ok(drive(self, workload, &mut refs, profiles, router, false).0)
+        Ok(drive(self, workload, scheds, profiles, router, trace))
     }
+}
+
+/// Unwraps a run of a panicking entry point.
+pub(crate) fn expect_valid<T>(run: Result<T, ServeConfigError>) -> T {
+    run.unwrap_or_else(|e| panic!("invalid run: {e}"))
+}
+
+/// Unwraps a traced run of a panicking entry point.
+pub(crate) fn traced(
+    run: Result<(ServeReport, Option<RunTrace>), ServeConfigError>,
+) -> (ServeReport, RunTrace) {
+    let (report, trace) = expect_valid(run);
+    (report, trace.expect("tracing was requested"))
 }
 
 /// Releases the next closed-loop request (if any) at the given instant —
@@ -558,43 +529,27 @@ fn device_view(i: usize, d: &DeviceSim<'_, '_>) -> DeviceView {
     }
 }
 
-/// One [`DeviceView`] per device, as of each device's own clock.
-fn fleet_views(devs: &[DeviceSim<'_, '_>]) -> Vec<DeviceView> {
-    devs.iter()
-        .enumerate()
-        .map(|(i, d)| device_view(i, d))
-        .collect()
-}
-
-/// The fleet indices eligible for each routing stage, plus whether the
-/// fleet is role-specialized at all (when it is not, the drive uses the
-/// exact single-stage code paths — bit-exactness with all-`Unified`
-/// fleets by construction).
+/// The fleet indices eligible for each routing stage: prompts route over
+/// `prefill`, continuations over `decode`, and only the `handoff_sources`
+/// (`Prefill`-role devices) ever emit continuations. On an all-`Unified`
+/// fleet `prefill` is every device and `handoff_sources` is empty.
 struct StagePlan {
     prefill: Vec<usize>,
     decode: Vec<usize>,
-    specialized: bool,
+    handoff_sources: Vec<usize>,
 }
 
 impl StagePlan {
     fn new(profiles: &[DeviceProfile<'_>]) -> Self {
-        let prefill: Vec<usize> = profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.role.can_prefill())
-            .map(|(i, _)| i)
-            .collect();
-        let decode: Vec<usize> = profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.role.can_decode())
-            .map(|(i, _)| i)
-            .collect();
-        let specialized = prefill.len() < profiles.len() || decode.len() < profiles.len();
+        let devices = |keep: fn(DeviceRole) -> bool| -> Vec<usize> {
+            (0..profiles.len())
+                .filter(|&i| keep(profiles[i].role))
+                .collect()
+        };
         StagePlan {
-            prefill,
-            decode,
-            specialized,
+            prefill: devices(DeviceRole::can_prefill),
+            decode: devices(DeviceRole::can_decode),
+            handoff_sources: devices(|role| !role.can_decode()),
         }
     }
 }
@@ -628,22 +583,22 @@ fn route_among(
     set[pick]
 }
 
-/// Stage-2 routing: drains every device's finished prefills in device
-/// index order (then emission order), routes each over the
+/// Stage-2 routing: drains the handoff sources' finished prefills in
+/// device index order (then emission order), routes each over the
 /// decode-capable devices, books the transfer on the source's link and
 /// the destination's ledger, and logs the hop. Returns how many handoffs
 /// were routed (fixpoint progress).
 fn route_handoffs(
     devs: &mut [DeviceSim<'_, '_>],
     router: &mut dyn Router,
-    decode_set: &[usize],
+    plan: &StagePlan,
     route_log: &mut Vec<TraceEvent>,
     trace: bool,
 ) -> usize {
     let mut routed = 0;
-    for src in 0..devs.len() {
+    for &src in &plan.handoff_sources {
         for h in devs[src].take_outbound() {
-            let target = route_among(router, &h.req, decode_set, |i| device_view(i, &devs[i]));
+            let target = route_among(router, &h.req, &plan.decode, |i| device_view(i, &devs[i]));
             let cycles = devs[src].handoff_transfer_cycles(h.bytes);
             let arrival = h.ready_cycle + cycles;
             devs[src].note_handoff_out(h.bytes, cycles);
@@ -670,7 +625,7 @@ fn route_handoffs(
 /// history — ordered by the explicit `(cycle, device, kind, seq)` key —
 /// is returned as the [`RunTrace`]. Observation only: the simulated run
 /// itself is bit-exact with an untraced one.
-pub(crate) fn drive<'a>(
+fn drive<'a>(
     sim: &ServeSim<'a>,
     workload: &Workload,
     scheds: &mut [&mut dyn Scheduler],
@@ -720,9 +675,7 @@ pub(crate) fn drive<'a>(
             }
             // Stage-2: route finished prefills onto decode devices (the
             // admissions above and the step below both produce them).
-            if plan.specialized
-                && route_handoffs(&mut devs, router, &plan.decode, &mut route_log, trace) > 0
-            {
+            if route_handoffs(&mut devs, router, &plan, &mut route_log, trace) > 0 {
                 progress = true;
             }
             // Dispatch every arrival due at or before the earliest busy
@@ -741,20 +694,8 @@ pub(crate) fn drive<'a>(
                     break;
                 }
                 let req = pending.pop_front().expect("head exists");
-                let target = if plan.specialized {
-                    // Stage-1: prompts route over prefill-capable
-                    // devices only.
-                    route_among(router, &req, &plan.prefill, |i| device_view(i, &devs[i]))
-                } else {
-                    let views = fleet_views(&devs);
-                    let target = router.route(&req, &views);
-                    assert!(
-                        target < n,
-                        "router `{}` picked device {target} of {n}",
-                        router.name()
-                    );
-                    target
-                };
+                // Stage-1: prompts route over prefill-capable devices only.
+                let target = route_among(router, &req, &plan.prefill, |i| device_view(i, &devs[i]));
                 if trace {
                     route_log.push(TraceEvent::Route {
                         id: req.id,

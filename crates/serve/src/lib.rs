@@ -102,14 +102,14 @@
 //! *one* serving instance faster via the §5.3 tensor-parallel scaling
 //! model ([`mcbp_workloads::Fleet`]): step latency divides by the group's
 //! effective speedup and energy pays the communication tax.
-//! [`ServeSim::run_fleet`] scales *out* instead: N independent simulated
-//! devices, each with its own [`KvCachePool`], scheduler state, and
-//! clock, behind a pluggable [`Router`], with per-device
-//! utilization/goodput breakdowns in [`ServeReport::devices`]. Fleets
-//! need not be uniform: [`ServeSim::run_fleet_profiles`] builds each
-//! device from its own [`DeviceProfile`] — accelerator generation (its
-//! own step-cost model), BGPP keep ratio, pool budget, host link, and a
-//! relative throughput weight — and [`DispatchPolicy`] spans round-robin,
+//! [`ServeSim::run_fleet_profiles`] scales *out* instead: N independent
+//! simulated devices, each with its own [`KvCachePool`], scheduler state,
+//! and clock, behind a pluggable [`Router`], with per-device
+//! utilization/goodput breakdowns in [`ServeReport::devices`]. Each
+//! device is built from its own [`DeviceProfile`] — accelerator
+//! generation (its own step-cost model), BGPP keep ratio, pool budget,
+//! host link, and a relative throughput weight; [`DeviceProfile::uniform`]
+//! inherits the simulator's — and [`DispatchPolicy`] spans round-robin,
 //! join-shortest-queue, least-loaded-pool, **weighted JSQ** (queued
 //! tokens normalized by profile throughput, the policy that makes
 //! mixed-generation fleets pay off), and **prefix-affinity** routing.
@@ -117,18 +117,19 @@
 //! **Disaggregated prefill/decode.** A fleet can specialize devices by
 //! [`DeviceRole`]: `Prefill` devices run prompts and each request's
 //! first token, `Decode` devices run the continuations, and the default
-//! `Unified` does both (keeping every pre-existing config bit-exact).
-//! Routing becomes two-stage — stage 1 places the prompt on a
-//! prefill-capable device; once a `Prefill`-role device finishes the
-//! prompt and emits token 1 (the DistServe cut point — TTFT never
-//! crosses the link), stage 2 routes the decode continuation to a
+//! `Unified` does both. Routing is two-stage — stage 1 places the
+//! prompt on a prefill-capable device; once a `Prefill`-role device
+//! finishes the prompt and emits token 1 (the DistServe cut point — TTFT
+//! never crosses the link), stage 2 routes the decode continuation to a
 //! decode-capable device and the request's resident KV bytes ride the
-//! source's modeled host link ([`SwapLedger`] rate) to the destination.
-//! A [`HandoffLedger`] on the destination tracks every transfer's bytes
-//! from departure to admission so conservation is checkable at any
-//! cycle, and [`HandoffReport`] surfaces counts, bytes, and link time
-//! per lane and fleet-wide. See [`DispatchPolicy`] for the routing
-//! stages.
+//! source's modeled host link (the swap rate,
+//! [`PreemptConfig::transfer_cycles`]) to the destination. On an
+//! all-`Unified` fleet stage 1 sees every device and stage 2 never
+//! fires. A [`CustodyLedger`] on the destination tracks every transfer's
+//! bytes from departure to admission (the same ledger type holds swapped
+//! bytes) so conservation is checkable at any cycle, and
+//! [`HandoffReport`] surfaces counts, bytes, and link time per lane and
+//! fleet-wide. See [`DispatchPolicy`] for the routing stages.
 //!
 //! **Prefix reuse.** Shared prompt prefixes (system prompts, few-shot
 //! headers) are the serving-granularity face of the repetitiveness MCBP
@@ -202,7 +203,7 @@ pub use arrival::{ArrivalProcess, LoadGenerator, RequestClass, Workload};
 pub use cost::{StepCost, StepCostModel};
 pub use dispatch::{DeviceView, DispatchPolicy, PolicyRouter, Router};
 pub use pool::{request_kv_bytes, KvCachePool, PrefixResidency, Reservation};
-pub use preempt::{EvictionPolicy, HandoffLedger, PreemptConfig, SwapLedger, HOST_LINK_RATIO};
+pub use preempt::{CustodyLedger, EvictionPolicy, PreemptConfig, HOST_LINK_RATIO};
 pub use profile::{DeviceProfile, DeviceRole};
 pub use record::{RunTrace, TraceEvent};
 pub use report::{

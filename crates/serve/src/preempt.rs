@@ -24,7 +24,7 @@
 //! bytes out to host memory over the host link at eviction and back at
 //! resume, charging `2 × resident_bytes / host_link_bytes_per_cycle`
 //! core cycles of device stall in total. Swapped bytes are held in a
-//! [`SwapLedger`] (host memory is modeled as unbounded) and the cost is
+//! [`CustodyLedger`] (host memory is modeled as unbounded) and the cost is
 //! *linear* in context.
 //!
 //! The two curves cross: **drop-and-recompute wins at short contexts**
@@ -143,182 +143,99 @@ impl PreemptConfig {
     }
 }
 
-/// Ledger of KV bytes held in host memory by swapped-out requests.
+/// Custody ledger of KV bytes that have left a device pool and not yet
+/// come back: swapped-out victims' bytes in host memory, and handoff
+/// bytes riding the host link toward a decode device.
 ///
-/// Host capacity is modeled as unbounded; the ledger exists so swapped
-/// bytes are conserved (swap-in restores exactly what swap-out removed)
-/// and so peak host residency is reportable.
+/// Host capacity and the link are modeled as unbounded; the ledger exists
+/// so the bytes are conserved (`check_in` returns exactly what
+/// `check_out` recorded) and so peak custody is reportable. The
+/// double-out and in-without-out panics make a double-free an immediate
+/// accounting failure instead of silent byte loss: a request in custody
+/// is in neither device's active or suspended set, so victim selection
+/// can never touch it, and the panics are the backstop should that
+/// invariant ever break.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct SwapLedger {
+pub struct CustodyLedger {
     held: BTreeMap<RequestId, u64>,
     held_bytes: u64,
     peak_held_bytes: u64,
     total_out_bytes: u64,
     total_in_bytes: u64,
+    check_ins: u64,
 }
 
-impl SwapLedger {
+impl CustodyLedger {
     /// An empty ledger.
     #[must_use]
     pub fn new() -> Self {
-        SwapLedger::default()
+        CustodyLedger::default()
     }
 
-    /// Records `bytes` swapped out for `id`.
+    /// Records `bytes` leaving the pool for `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` already holds swapped bytes (a request cannot be
-    /// swapped out twice without an intervening swap-in).
-    pub fn swap_out(&mut self, id: RequestId, bytes: u64) {
+    /// Panics if `id` is already in custody (a request cannot leave the
+    /// pool twice without coming back in between).
+    pub fn check_out(&mut self, id: RequestId, bytes: u64) {
         assert!(
             self.held.insert(id, bytes).is_none(),
-            "request {id} swapped out twice"
+            "request {id} checked out twice"
         );
         self.held_bytes += bytes;
         self.peak_held_bytes = self.peak_held_bytes.max(self.held_bytes);
         self.total_out_bytes += bytes;
     }
 
-    /// Removes and returns the bytes held for `id`.
+    /// Removes and returns the bytes held for `id` (they are back in a
+    /// pool).
     ///
     /// # Panics
     ///
-    /// Panics if `id` holds no swapped bytes.
-    pub fn swap_in(&mut self, id: RequestId) -> u64 {
-        let bytes = self.held.remove(&id).expect("swap-in without swap-out");
+    /// Panics if `id` is not in custody.
+    pub fn check_in(&mut self, id: RequestId) -> u64 {
+        let bytes = self.held.remove(&id).expect("check-in without check-out");
         self.held_bytes -= bytes;
         self.total_in_bytes += bytes;
+        self.check_ins += 1;
         bytes
     }
 
-    /// Bytes currently held in host memory.
+    /// Bytes currently in custody.
     #[must_use]
     pub fn held_bytes(&self) -> u64 {
         self.held_bytes
     }
 
-    /// Highest host residency observed.
+    /// Highest custody observed.
     #[must_use]
     pub fn peak_held_bytes(&self) -> u64 {
         self.peak_held_bytes
     }
 
-    /// Total bytes ever swapped out.
+    /// Total bytes ever checked out.
     #[must_use]
     pub fn total_out_bytes(&self) -> u64 {
         self.total_out_bytes
     }
 
-    /// Total bytes ever swapped back in.
+    /// Total bytes ever checked back in.
     #[must_use]
     pub fn total_in_bytes(&self) -> u64 {
         self.total_in_bytes
     }
 
-    /// Whether nothing is swapped out.
+    /// Completed `check_in` calls.
+    #[must_use]
+    pub fn check_ins(&self) -> u64 {
+        self.check_ins
+    }
+
+    /// Whether nothing is in custody.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.held.is_empty()
-    }
-}
-
-/// Ledger of KV bytes in flight between device pools during a
-/// prefill→decode handoff (disaggregated serving).
-///
-/// Shaped like [`SwapLedger`], and enforcing the same conservation
-/// discipline: `handoff_out` records the bytes released from the prefill
-/// device's pool the moment they leave, `handoff_in` removes exactly
-/// those bytes when the decode device re-reserves them, and the
-/// double-out / in-without-out panics make a mid-handoff double-free an
-/// immediate accounting failure instead of silent byte loss. A request
-/// in flight between pools is in *neither* device's active or suspended
-/// set, so preemption victim selection can never touch it — the ledger's
-/// panics are the backstop should that invariant ever break.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HandoffLedger {
-    in_flight: BTreeMap<RequestId, u64>,
-    in_flight_bytes: u64,
-    peak_in_flight_bytes: u64,
-    total_out_bytes: u64,
-    total_in_bytes: u64,
-    handoffs: u64,
-}
-
-impl HandoffLedger {
-    /// An empty ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        HandoffLedger::default()
-    }
-
-    /// Records `bytes` departing the prefill device's pool for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already in flight (one request cannot be handed
-    /// off twice without arriving in between — a double-free).
-    pub fn handoff_out(&mut self, id: RequestId, bytes: u64) {
-        assert!(
-            self.in_flight.insert(id, bytes).is_none(),
-            "request {id} handed off twice"
-        );
-        self.in_flight_bytes += bytes;
-        self.peak_in_flight_bytes = self.peak_in_flight_bytes.max(self.in_flight_bytes);
-        self.total_out_bytes += bytes;
-        self.handoffs += 1;
-    }
-
-    /// Removes and returns the bytes in flight for `id` (the decode
-    /// device has re-reserved them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in flight.
-    pub fn handoff_in(&mut self, id: RequestId) -> u64 {
-        let bytes = self
-            .in_flight
-            .remove(&id)
-            .expect("handoff-in without handoff-out");
-        self.in_flight_bytes -= bytes;
-        self.total_in_bytes += bytes;
-        bytes
-    }
-
-    /// Bytes currently riding the link between pools.
-    #[must_use]
-    pub fn in_flight_bytes(&self) -> u64 {
-        self.in_flight_bytes
-    }
-
-    /// Highest in-flight byte count observed.
-    #[must_use]
-    pub fn peak_in_flight_bytes(&self) -> u64 {
-        self.peak_in_flight_bytes
-    }
-
-    /// Total bytes ever handed off.
-    #[must_use]
-    pub fn total_out_bytes(&self) -> u64 {
-        self.total_out_bytes
-    }
-
-    /// Total bytes ever re-reserved on a decode device.
-    #[must_use]
-    pub fn total_in_bytes(&self) -> u64 {
-        self.total_in_bytes
-    }
-
-    /// Completed `handoff_out` calls.
-    #[must_use]
-    pub fn handoffs(&self) -> u64 {
-        self.handoffs
-    }
-
-    /// Whether nothing is in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.in_flight.is_empty()
     }
 }
 
@@ -337,58 +254,68 @@ mod tests {
 
     #[test]
     fn ledger_conserves_swapped_bytes() {
-        let mut ledger = SwapLedger::new();
-        ledger.swap_out(3, 500);
-        ledger.swap_out(7, 200);
+        let mut ledger = CustodyLedger::new();
+        ledger.check_out(3, 500);
+        ledger.check_out(7, 200);
         assert_eq!(ledger.held_bytes(), 700);
         assert_eq!(ledger.peak_held_bytes(), 700);
-        assert_eq!(ledger.swap_in(3), 500);
-        ledger.swap_out(3, 100);
-        assert_eq!(ledger.swap_in(3), 100);
-        assert_eq!(ledger.swap_in(7), 200);
+        assert_eq!(ledger.check_in(3), 500);
+        ledger.check_out(3, 100);
+        assert_eq!(ledger.check_in(3), 100);
+        assert_eq!(ledger.check_in(7), 200);
         assert!(ledger.is_empty());
         assert_eq!(ledger.total_out_bytes(), 800);
         assert_eq!(ledger.total_in_bytes(), 800);
         assert_eq!(ledger.peak_held_bytes(), 700);
+        assert_eq!(ledger.check_ins(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "swapped out twice")]
+    #[should_panic(expected = "checked out twice")]
     fn double_swap_out_is_an_accounting_bug() {
-        let mut ledger = SwapLedger::new();
-        ledger.swap_out(1, 10);
-        ledger.swap_out(1, 20);
+        let mut ledger = CustodyLedger::new();
+        ledger.check_out(1, 10);
+        ledger.check_out(1, 20);
     }
 
     #[test]
     fn handoff_ledger_conserves_bytes_in_flight() {
-        let mut ledger = HandoffLedger::new();
-        ledger.handoff_out(3, 500);
-        ledger.handoff_out(7, 200);
-        assert_eq!(ledger.in_flight_bytes(), 700);
-        assert_eq!(ledger.peak_in_flight_bytes(), 700);
-        assert_eq!(ledger.handoff_in(3), 500);
-        ledger.handoff_out(3, 100);
-        assert_eq!(ledger.handoff_in(3), 100);
-        assert_eq!(ledger.handoff_in(7), 200);
+        // Prefill→decode handoffs: bytes leave the prefill pool and land in
+        // a decode pool; custody peaks while two handoffs overlap.
+        let mut ledger = CustodyLedger::new();
+        ledger.check_out(3, 500);
+        assert_eq!(ledger.peak_held_bytes(), 500);
+        ledger.check_out(7, 200);
+        assert_eq!(ledger.held_bytes(), 700);
+        assert_eq!(ledger.check_in(7), 200);
+        assert_eq!(ledger.held_bytes(), 500);
+        ledger.check_out(9, 100);
+        assert_eq!(ledger.check_in(3), 500);
+        assert_eq!(ledger.check_in(9), 100);
         assert!(ledger.is_empty());
+        assert_eq!(ledger.held_bytes(), 0);
         assert_eq!(ledger.total_out_bytes(), 800);
         assert_eq!(ledger.total_in_bytes(), 800);
-        assert_eq!(ledger.handoffs(), 3);
+        assert_eq!(ledger.peak_held_bytes(), 700);
+        assert_eq!(ledger.check_ins(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "handed off twice")]
+    #[should_panic(expected = "checked out twice")]
     fn double_handoff_out_is_a_double_free() {
-        let mut ledger = HandoffLedger::new();
-        ledger.handoff_out(1, 10);
-        ledger.handoff_out(1, 20);
+        // A completed handoff may be followed by a new one for the same id,
+        // but a second check-out while the first is still in flight may not.
+        let mut ledger = CustodyLedger::new();
+        ledger.check_out(1, 10);
+        assert_eq!(ledger.check_in(1), 10);
+        ledger.check_out(1, 20);
+        ledger.check_out(1, 30);
     }
 
     #[test]
-    #[should_panic(expected = "handoff-in without handoff-out")]
+    #[should_panic(expected = "check-in without check-out")]
     fn handoff_in_without_out_is_an_accounting_bug() {
-        let mut ledger = HandoffLedger::new();
-        ledger.handoff_in(9);
+        let mut ledger = CustodyLedger::new();
+        ledger.check_in(9);
     }
 }

@@ -13,9 +13,9 @@
 //!
 //! Every field except `throughput` is an `Option` whose `None` means
 //! *inherit the [`crate::ServeSim`]'s own configuration* — so a fleet of
-//! `DeviceProfile::uniform()` entries is **bit-exact** with the classic
-//! [`crate::ServeSim::run_fleet`] path (asserted by a regression test),
-//! and heterogeneity is opt-in per axis.
+//! `DeviceProfile::uniform()` entries is **bit-exact** with a fleet whose
+//! profiles restate those values explicitly (asserted by a regression
+//! test), and heterogeneity is opt-in per axis.
 //!
 //! # Example
 //!

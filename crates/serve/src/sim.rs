@@ -52,9 +52,9 @@ use mcbp_workloads::{Accelerator, Fleet, TraceContext};
 
 use crate::arrival::Workload;
 use crate::cost::{StepCost, StepCostModel};
-use crate::dispatch::{drive, DispatchPolicy};
+use crate::dispatch::{expect_valid, traced, DispatchPolicy};
 use crate::pool::{request_kv_bytes, KvCachePool};
-use crate::preempt::{EvictionPolicy, HandoffLedger, PreemptConfig, SwapLedger};
+use crate::preempt::{CustodyLedger, EvictionPolicy, PreemptConfig};
 use crate::profile::{DeviceProfile, DeviceRole};
 use crate::record::{RunTrace, TraceEvent};
 use crate::report::{
@@ -101,7 +101,7 @@ pub struct ServeConfig {
     /// speedup and energy pays the communication tax (see
     /// [`Fleet::scale`]). This models one multi-chip serving instance;
     /// for data-parallel serving across *independent* devices with their
-    /// own pools and queues, see [`ServeSim::run_fleet`].
+    /// own pools and queues, see [`ServeSim::run_fleet_profiles`].
     pub fleet: Fleet,
     /// Preemption/eviction policy and host-link bandwidth. Swap transfer
     /// latency is charged at the configured host link and is *not* scaled
@@ -373,20 +373,8 @@ impl Suspended {
 #[derive(Debug, Clone, Copy, Default)]
 struct PreemptTally {
     preemptions: u64,
-    swap_out_bytes: u64,
-    swap_in_bytes: u64,
     swap_cycles: f64,
     recompute_cycles: f64,
-}
-
-/// Running prefix-cache counters (see [`crate::PrefixReport`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct PrefixTally {
-    hits: u64,
-    misses: u64,
-    reused_tokens: u64,
-    reclaimed: u64,
-    reclaimed_bytes: u64,
 }
 
 /// Running per-step composition counters (see [`crate::StepReport`]).
@@ -407,7 +395,7 @@ struct StepTally {
 /// so it never waits on a second admission into the decode pool). The
 /// source has already released the KV from its pool (and dropped its
 /// prefix reference) — the bytes exist only here until the driver routes
-/// the handoff and the destination's [`HandoffLedger`] takes custody.
+/// the handoff and the destination's handoff [`CustodyLedger`] takes custody.
 pub(crate) struct HandoffOut {
     pub(crate) req: Request,
     /// First admission instant on the source device (preserved across
@@ -433,7 +421,7 @@ pub(crate) struct HandoffOut {
 }
 
 /// A routed handoff riding the host link toward this device. Its bytes
-/// are held by the destination's [`HandoffLedger`]; it is in neither
+/// are held by the destination's handoff [`CustodyLedger`]; it is in neither
 /// device's active or suspended set, so victim selection cannot touch it
 /// (the ledger panics are the double-free backstop).
 struct PendingHandoff {
@@ -452,15 +440,13 @@ struct PendingHandoff {
     arrival_cycle: f64,
 }
 
-/// Running prefill→decode transfer counters (see
-/// [`crate::HandoffReport`]). Outbound fields are attributed to the
-/// source device, inbound fields to the destination.
+/// Running outbound prefill→decode transfer counters of a source device
+/// (see [`crate::HandoffReport`]; the inbound side is read off the
+/// destination's handoff ledger).
 #[derive(Debug, Clone, Copy, Default)]
 struct HandoffTally {
     out: u64,
-    in_count: u64,
     bytes_out: u64,
-    bytes_in: u64,
     /// Host-link cycles the outbound transfers occupied (the transfers
     /// overlap compute DMA-style — latency lands on the request, not on
     /// the device clock — so these cycles are attribution, not stall).
@@ -577,19 +563,7 @@ impl<'a> ServeSim<'a> {
     /// invariants), or a scheduler contract violation.
     #[must_use]
     pub fn run(&self, workload: &Workload, scheduler: &mut dyn Scheduler) -> ServeReport {
-        if let Err(e) = ServeSim::validate_workload(workload) {
-            panic!("invalid workload: {e}");
-        }
-        let mut router = DispatchPolicy::RoundRobin.router();
-        drive(
-            self,
-            workload,
-            &mut [scheduler],
-            &[DeviceProfile::uniform()],
-            &mut router,
-            false,
-        )
-        .0
+        expect_valid(self.run_single(workload, scheduler, false)).0
     }
 
     /// Like [`ServeSim::run`], but records the run's full
@@ -609,19 +583,24 @@ impl<'a> ServeSim<'a> {
         workload: &Workload,
         scheduler: &mut dyn Scheduler,
     ) -> (ServeReport, RunTrace) {
-        if let Err(e) = ServeSim::validate_workload(workload) {
-            panic!("invalid workload: {e}");
-        }
+        traced(self.run_single(workload, scheduler, true))
+    }
+
+    /// [`ServeSim::execute`] on one [`DeviceProfile::uniform`] device.
+    fn run_single(
+        &self,
+        workload: &Workload,
+        scheduler: &mut dyn Scheduler,
+        trace: bool,
+    ) -> Result<(ServeReport, Option<RunTrace>), ServeConfigError> {
         let mut router = DispatchPolicy::RoundRobin.router();
-        let (report, trace) = drive(
-            self,
+        self.execute(
             workload,
-            &mut [scheduler],
             &[DeviceProfile::uniform()],
             &mut router,
-            true,
-        );
-        (report, trace.expect("tracing was requested"))
+            &mut [scheduler],
+            trace,
+        )
     }
 
     /// Checks a workload's internal consistency: every arrival cycle must
@@ -722,15 +701,15 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// The profile's relative throughput weight (read by the router).
     throughput: f64,
     /// This device's dispatch role (`Unified` outside disaggregated
-    /// fleets — the role gates handoff extraction, so an all-`Unified`
-    /// fleet takes exactly the pre-disaggregation code paths).
+    /// fleets; only a `Prefill` device extracts handoffs).
     role: DeviceRole,
     pub(crate) pool: KvCachePool,
-    ledger: SwapLedger,
+    /// Custody of swapped-out victims' KV bytes in host memory.
+    swap_ledger: CustodyLedger,
     /// Custody of KV bytes riding the host link **into** this device
-    /// (handoffs are accounted at their destination: the driver books
-    /// `handoff_out` when it routes, admission books `handoff_in`).
-    handoff_ledger: HandoffLedger,
+    /// (handoffs are accounted at their destination: the driver checks
+    /// them out when it routes, admission checks them in).
+    handoff_ledger: CustodyLedger,
     tally: PreemptTally,
     handoff_tally: HandoffTally,
     /// Finished prefills awaiting stage-2 routing (drained by the
@@ -739,7 +718,7 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// Routed handoffs riding the link toward this device.
     inbound: Vec<PendingHandoff>,
     step_tally: StepTally,
-    prefix_tally: PrefixTally,
+    prefix_tally: PrefixReport,
     /// Requests dispatched to this device, arrival-sorted, not yet
     /// admitted.
     pending: VecDeque<Request>,
@@ -772,8 +751,8 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     pub(crate) fn new(sim: &'s ServeSim<'a>, profile: &DeviceProfile<'a>) -> Self {
         let cost = match (profile.accel, profile.attention_keep) {
             // Inherit everything: share the simulator's memoized model so
-            // a uniform fleet stays bit-exact with (and as cheap as) the
-            // classic run_fleet path.
+            // a uniform fleet costs each distinct invocation once,
+            // fleet-wide.
             (None, None) => DeviceCost::Shared(&sim.cost),
             (accel, keep) => {
                 let template = TraceContext {
@@ -798,14 +777,14 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             preempt,
             role: profile.role,
             throughput: profile.throughput,
-            ledger: SwapLedger::new(),
-            handoff_ledger: HandoffLedger::new(),
+            swap_ledger: CustodyLedger::new(),
+            handoff_ledger: CustodyLedger::new(),
             tally: PreemptTally::default(),
             handoff_tally: HandoffTally::default(),
             outbound: Vec::new(),
             inbound: Vec::new(),
             step_tally: StepTally::default(),
-            prefix_tally: PrefixTally::default(),
+            prefix_tally: PrefixReport::default(),
             pending: VecDeque::new(),
             active: Vec::new(),
             suspended: Vec::new(),
@@ -900,7 +879,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// and the request queues for admission once the transfer lands at
     /// `arrival_cycle`.
     pub(crate) fn receive_handoff(&mut self, h: HandoffOut, arrival_cycle: f64) {
-        self.handoff_ledger.handoff_out(h.req.id, h.bytes);
+        self.handoff_ledger.check_out(h.req.id, h.bytes);
         let entry = PendingHandoff {
             req: h.req,
             admitted_cycle: h.admitted_cycle,
@@ -1093,8 +1072,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                     // (the prefill pool could): the handoff is dropped on
                     // arrival, its transferred bytes discarded.
                     let h = self.inbound.remove(idx);
-                    self.handoff_tally.in_count += 1;
-                    self.handoff_tally.bytes_in += self.handoff_ledger.handoff_in(id);
+                    self.handoff_ledger.check_in(id);
                     // The source already delivered token 1; the drop
                     // record keeps that truth (its TTFT stands, only the
                     // continuation is lost).
@@ -1122,9 +1100,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 // The ledger hands the transferred bytes over: they
                 // become resident KV under the fresh reservation (capped
                 // by it — the pools may disagree on the keep ratio).
-                let bytes = self.handoff_ledger.handoff_in(id);
-                self.handoff_tally.in_count += 1;
-                self.handoff_tally.bytes_in += bytes;
+                let bytes = self.handoff_ledger.check_in(id);
                 self.pool.grow_resident(id, bytes.min(full_peak));
                 self.active.push(InFlight {
                     prefill_done: h.prefill_done,
@@ -1179,7 +1155,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                     self.now += cycles;
                     self.pool.advance_clock(self.now);
                     self.tally.swap_cycles += cycles;
-                    self.tally.swap_in_bytes += self.ledger.swap_in(s.req.id);
+                    self.swap_ledger.check_in(s.req.id);
                     self.pool.grow_resident(s.req.id, s.swapped_bytes);
                     // One resume state per case; only the cursor fields
                     // differ between them.
@@ -1466,8 +1442,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                         self.now += cycles;
                         self.pool.advance_clock(self.now);
                         self.tally.swap_cycles += cycles;
-                        self.tally.swap_out_bytes += freed.resident_bytes;
-                        self.ledger.swap_out(f.req.id, freed.resident_bytes);
+                        self.swap_ledger.check_out(f.req.id, freed.resident_bytes);
                     }
                     freed.resident_bytes
                 }
@@ -1804,13 +1779,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
 
     /// This device's prefix-cache statistics.
     pub(crate) fn prefix_report(&self) -> PrefixReport {
-        PrefixReport {
-            hits: self.prefix_tally.hits,
-            misses: self.prefix_tally.misses,
-            reused_tokens: self.prefix_tally.reused_tokens,
-            reclaimed: self.prefix_tally.reclaimed,
-            reclaimed_bytes: self.prefix_tally.reclaimed_bytes,
-        }
+        self.prefix_tally
     }
 
     /// This device's prefill→decode handoff statistics (outbound lanes
@@ -1819,11 +1788,11 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     pub(crate) fn handoff_report(&self) -> HandoffReport {
         HandoffReport {
             handoffs_out: self.handoff_tally.out,
-            handoffs_in: self.handoff_tally.in_count,
+            handoffs_in: self.handoff_ledger.check_ins(),
             bytes_out: self.handoff_tally.bytes_out,
-            bytes_in: self.handoff_tally.bytes_in,
+            bytes_in: self.handoff_ledger.total_in_bytes(),
             link_seconds: self.handoff_tally.link_cycles / crate::CLOCK_HZ,
-            peak_in_flight_bytes: self.handoff_ledger.peak_in_flight_bytes(),
+            peak_in_flight_bytes: self.handoff_ledger.peak_held_bytes(),
         }
     }
 
@@ -1831,11 +1800,11 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     pub(crate) fn preempt_report(&self) -> PreemptReport {
         PreemptReport {
             preemptions: self.tally.preemptions,
-            swap_out_bytes: self.tally.swap_out_bytes,
-            swap_in_bytes: self.tally.swap_in_bytes,
+            swap_out_bytes: self.swap_ledger.total_out_bytes(),
+            swap_in_bytes: self.swap_ledger.total_in_bytes(),
             swap_seconds: self.tally.swap_cycles / crate::CLOCK_HZ,
             recompute_seconds: self.tally.recompute_cycles / crate::CLOCK_HZ,
-            peak_swap_held_bytes: self.ledger.peak_held_bytes(),
+            peak_swap_held_bytes: self.swap_ledger.peak_held_bytes(),
         }
     }
 }
@@ -2364,8 +2333,8 @@ mod tests {
             let w = with_arrival(closed_loop, arrival);
             let label = format!("closed_loop {closed_loop:?}, arrival {arrival}");
             assert_eq!(ServeSim::validate_workload(&w), rejected, "{label}");
-            let fleet_run =
-                sim.try_run_fleet_profiles(&w, &fleet, DispatchPolicy::RoundRobin, &mut mk);
+            let mut router = DispatchPolicy::RoundRobin.router();
+            let fleet_run = sim.try_run_fleet_with_router(&w, &fleet, &mut router, &mut mk);
             assert_eq!(fleet_run.err(), rejected.err(), "{label}");
             let single = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 sim.run(&w, &mut ContinuousBatchScheduler::new())
@@ -2376,7 +2345,12 @@ mod tests {
         let w = with_arrival(Some(2), f64::INFINITY);
         assert_eq!(ServeSim::validate_workload(&w), Ok(()));
         let report = sim
-            .try_run_fleet_profiles(&w, &fleet, DispatchPolicy::RoundRobin, &mut mk)
+            .try_run_fleet_with_router(
+                &w,
+                &fleet,
+                &mut DispatchPolicy::RoundRobin.router(),
+                &mut mk,
+            )
             .expect("closed-loop slots are valid");
         assert_eq!(report.completed, 3);
     }

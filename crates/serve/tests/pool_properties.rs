@@ -1,4 +1,4 @@
-//! Property-based tests for [`KvCachePool`] and [`SwapLedger`]: the
+//! Property-based tests for [`KvCachePool`] and [`CustodyLedger`]: the
 //! accounting invariants the serving simulator leans on, under arbitrary
 //! legal reserve/grow/release/evict sequences.
 //!
@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use mcbp_serve::{KvCachePool, PrefixId, SwapLedger};
+use mcbp_serve::{CustodyLedger, KvCachePool, PrefixId};
 use proptest::prelude::*;
 
 /// Shadow of one request's ledger entry.
@@ -57,7 +57,7 @@ proptest! {
         ops in collection::vec((0u8..4, 0u64..16, 1u64..40_000), 1..120),
     ) {
         let mut pool = KvCachePool::with_budget(budget);
-        let mut ledger = SwapLedger::new();
+        let mut ledger = CustodyLedger::new();
         let mut shadow: BTreeMap<u64, Shadow> = BTreeMap::new();
         let mut next_id = 16u64; // fresh ids for re-admissions after release
         for (op, id_hint, bytes) in ops {
@@ -123,8 +123,8 @@ proptest! {
                         let freed = pool.release(id);
                         prop_assert_eq!(freed.resident_bytes, s.resident);
                         if freed.resident_bytes > 0 {
-                            ledger.swap_out(id, freed.resident_bytes);
-                            prop_assert_eq!(ledger.swap_in(id), freed.resident_bytes);
+                            ledger.check_out(id, freed.resident_bytes);
+                            prop_assert_eq!(ledger.check_in(id), freed.resident_bytes);
                         }
                     }
                 }

@@ -99,6 +99,17 @@ pub enum TraceError {
         /// 0-based index of the offending frame.
         frame: u64,
     },
+    /// A workload request field does not fit its fixed-width slot in the
+    /// format (`u32` token counts, `u16` task-name length). The writer
+    /// rejects the run before emitting any frame rather than truncate.
+    FieldTooLarge {
+        /// Id of the offending request.
+        request: u64,
+        /// Which field overflowed.
+        field: &'static str,
+        /// The value that does not fit.
+        value: usize,
+    },
     /// The `End` frame's counts disagree with the `Meta` declaration or
     /// with the frames actually present.
     CountMismatch {
@@ -130,6 +141,14 @@ impl fmt::Display for TraceError {
             TraceError::Malformed { frame } => {
                 write!(f, "trace frame {frame} payload is malformed")
             }
+            TraceError::FieldTooLarge {
+                request,
+                field,
+                value,
+            } => write!(
+                f,
+                "trace request {request}: {field} {value} does not fit the format"
+            ),
             TraceError::CountMismatch {
                 what,
                 declared,
@@ -213,8 +232,13 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Io`] if the sink fails.
+    /// Returns [`TraceError::FieldTooLarge`] (before writing any frame)
+    /// if a request does not fit the format, or [`TraceError::Io`] if
+    /// the sink fails.
     pub fn write_run(&mut self, trace: &RunTrace) -> Result<(), TraceError> {
+        for req in &trace.workload.requests {
+            check_fits(req)?;
+        }
         let mut payload = Vec::with_capacity(32);
         payload.extend_from_slice(&trace.devices.to_le_bytes());
         match trace.workload.closed_loop {
@@ -266,6 +290,31 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
+/// Rejects a request whose fields would not fit their slots in a
+/// `Request` frame.
+fn check_fits(req: &Request) -> Result<(), TraceError> {
+    let fields = [
+        ("prompt_len", req.prompt_len, u32::MAX as usize),
+        ("decode_len", req.decode_len, u32::MAX as usize),
+        (
+            "prefix tokens",
+            req.prefix.map_or(0, |p| p.tokens),
+            u32::MAX as usize,
+        ),
+        ("task-name length", req.task_name.len(), u16::MAX as usize),
+    ];
+    match fields.into_iter().find(|&(_, value, max)| value > max) {
+        Some((field, value, _)) => Err(TraceError::FieldTooLarge {
+            request: req.id,
+            field,
+            value,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Encodes one request; its fields passed [`check_fits`], so the narrowing
+/// casts are lossless.
 fn encode_request(req: &Request) -> Vec<u8> {
     let mut p = Vec::with_capacity(64);
     p.extend_from_slice(&req.id.to_le_bytes());
@@ -711,8 +760,9 @@ fn decode_event(kind: u8, c: &mut Cursor<'_>) -> Result<TraceEvent, ()> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Io`] only on allocation-level failures (writing
-/// to a `Vec` does not otherwise fail).
+/// Returns [`TraceError::FieldTooLarge`] if a request does not fit the
+/// format, or [`TraceError::Io`] only on allocation-level failures
+/// (writing to a `Vec` does not otherwise fail).
 pub fn to_bytes(trace: &RunTrace) -> Result<Vec<u8>, TraceError> {
     let mut writer = TraceWriter::new(Vec::new())?;
     writer.write_run(trace)?;
@@ -732,7 +782,9 @@ pub fn from_bytes(bytes: &[u8]) -> Result<RunTrace, TraceError> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Io`] if the file cannot be created or written.
+/// Returns [`TraceError::FieldTooLarge`] (before writing any frame) if a
+/// request does not fit the format, or [`TraceError::Io`] if the file
+/// cannot be created or written.
 pub fn save_trace(path: &Path, trace: &RunTrace) -> Result<(), TraceError> {
     let mut writer = TraceWriter::new(BufWriter::new(File::create(path)?))?;
     writer.write_run(trace)
@@ -991,5 +1043,50 @@ mod tests {
         let back = load_trace(&path).expect("load");
         std::fs::remove_file(&path).ok();
         assert_eq!(trace, back);
+    }
+
+    /// Token counts are `u32` and the task-name length `u16` on disk: a
+    /// value past either is a typed error, never a silent truncation that
+    /// decodes as a different request.
+    #[test]
+    fn oversized_request_fields_are_typed_not_truncated() {
+        let too_long = u32::MAX as usize + 1;
+        for field in [
+            "prompt_len",
+            "decode_len",
+            "prefix tokens",
+            "task-name length",
+        ] {
+            let mut trace = tiny_trace();
+            let req = &mut trace.workload.requests[1];
+            match field {
+                "prompt_len" => req.prompt_len = too_long,
+                "decode_len" => req.decode_len = too_long,
+                "prefix tokens" => req.prefix = Some(SharedPrefix::new(7, too_long)),
+                _ => req.task_name = Box::leak("x".repeat(1 << 16).into_boxed_str()),
+            }
+            let err = to_bytes(&trace).expect_err(field);
+            assert!(
+                matches!(err, TraceError::FieldTooLarge { request: 1, field: f, .. } if f == field),
+                "{field}: {err}"
+            );
+            // Nothing but the header reaches the sink.
+            let mut writer = TraceWriter::new(Vec::new()).expect("header");
+            assert!(writer.write_run(&trace).is_err(), "{field}");
+            assert_eq!(writer.into_inner().len(), TRACE_MAGIC.len() + 4, "{field}");
+        }
+        let path = std::env::temp_dir().join("mcbp_trace_format_oversized.mcbptrc");
+        let mut trace = tiny_trace();
+        trace.workload.requests[0].prompt_len = too_long;
+        let saved = save_trace(&path, &trace);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(
+            saved,
+            Err(TraceError::FieldTooLarge {
+                request: 0,
+                field: "prompt_len",
+                value,
+            }) if value == too_long
+        ));
     }
 }

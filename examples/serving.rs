@@ -36,7 +36,8 @@
 
 use mcbp::prelude::*;
 use mcbp::serve::{
-    request_kv_bytes, ArrivalProcess, DispatchPolicy, LoadGenerator, Request, ServeConfig, Workload,
+    request_kv_bytes, ArrivalProcess, DispatchPolicy, LoadGenerator, Request, Scheduler,
+    ServeConfig, Workload,
 };
 use mcbp::trace::{load_trace, save_trace, verify_replay, SampledSim, SamplerConfig, TraceStats};
 use mcbp::workloads::Derated;
@@ -199,12 +200,10 @@ fn main() {
     }
     .generate();
     let sim = engine.serve_sim(0.3, cfg.clone());
-    let rr = sim.run_fleet(&skewed, 2, DispatchPolicy::RoundRobin, &mut || {
-        Box::new(ContinuousBatchScheduler::new())
-    });
-    let jsq = sim.run_fleet(&skewed, 2, DispatchPolicy::JoinShortestQueue, &mut || {
-        Box::new(ContinuousBatchScheduler::new())
-    });
+    let pair = [DeviceProfile::uniform(); 2];
+    let mut mk = || -> Box<dyn Scheduler> { Box::new(ContinuousBatchScheduler::new()) };
+    let rr = sim.run_fleet_profiles(&skewed, &pair, DispatchPolicy::RoundRobin, &mut mk);
+    let jsq = sim.run_fleet_profiles(&skewed, &pair, DispatchPolicy::JoinShortestQueue, &mut mk);
     println!("{rr}\n");
     println!("{jsq}\n");
     assert!(

@@ -171,7 +171,12 @@ fn jsq_fleet_conserves_requests_and_per_device_budgets() {
     .generate();
     let mut mk: Box<dyn FnMut() -> Box<dyn Scheduler>> =
         Box::new(|| Box::new(ContinuousBatchScheduler::new()));
-    let report = sim.run_fleet(&load, 3, DispatchPolicy::JoinShortestQueue, &mut mk);
+    let report = sim.run_fleet_profiles(
+        &load,
+        &[DeviceProfile::uniform(); 3],
+        DispatchPolicy::JoinShortestQueue,
+        &mut mk,
+    );
     assert_eq!(report.devices.len(), 3);
     // Conservation: 24 requests in, 24 records out, ids unique and served
     // exactly once.
@@ -232,8 +237,9 @@ fn fleet_dispatch_is_deterministic_per_policy() {
     for policy in DispatchPolicy::ALL {
         let mut mk: Box<dyn FnMut() -> Box<dyn Scheduler>> =
             Box::new(|| Box::new(ContinuousBatchScheduler::new()));
-        let a = sim.run_fleet(&load, 2, policy, &mut mk);
-        let b = sim.run_fleet(&load, 2, policy, &mut mk);
+        let pair = [DeviceProfile::uniform(); 2];
+        let a = sim.run_fleet_profiles(&load, &pair, policy, &mut mk);
+        let b = sim.run_fleet_profiles(&load, &pair, policy, &mut mk);
         assert_eq!(a, b, "{policy:?} must replay bit-identically");
         assert_eq!(a.completed, 12, "{policy:?}");
     }
@@ -338,7 +344,12 @@ fn fleet_peak_concurrency_is_not_a_sum_of_device_peaks() {
         ArrivalProcess::ClosedLoop { concurrency: 1 },
     )
     .generate();
-    let report = sim.run_fleet(&load, 3, DispatchPolicy::RoundRobin, &mut mk());
+    let report = sim.run_fleet_profiles(
+        &load,
+        &[DeviceProfile::uniform(); 3],
+        DispatchPolicy::RoundRobin,
+        &mut mk(),
+    );
     assert_eq!(report.completed, 8);
     // Every device served work, so the old per-device-peak sum would
     // report 3; only one request is ever in flight.

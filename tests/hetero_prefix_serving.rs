@@ -1,6 +1,6 @@
 //! Integration tests for the heterogeneous-fleet / prefix-routing layer
-//! on the real cycle-level model: uniform [`DeviceProfile`] fleets must
-//! reproduce the classic `run_fleet` bit-exactly, mixed-generation
+//! on the real cycle-level model: explicitly restated [`DeviceProfile`]
+//! fleets must reproduce inheriting uniform ones bit-exactly, mixed-generation
 //! profiles must route work where it drains fastest, and cross-request
 //! prefix reuse must cut prefill work without losing a byte of pool
 //! accounting.
@@ -31,11 +31,11 @@ fn skewed_trace(count: usize, seed: u64) -> Workload {
     .generate()
 }
 
-/// The acceptance regression: a fleet of N uniform profiles — including
-/// profiles that *explicitly* restate the simulator's own accelerator,
-/// keep ratio, and budget (exercising the per-device owned cost model) —
-/// reproduces today's `run_fleet` results bit-exactly for every
-/// pre-existing dispatch policy.
+/// The acceptance regression: a fleet of N profiles that *explicitly*
+/// restate the simulator's own accelerator, keep ratio, and budget
+/// (exercising the per-device owned cost model) reproduces the inheriting
+/// [`DeviceProfile::uniform`] fleet bit-exactly for every pre-existing
+/// dispatch policy.
 #[test]
 fn uniform_profiles_reproduce_run_fleet_bit_exactly() {
     let engine = engine();
@@ -53,13 +53,8 @@ fn uniform_profiles_reproduce_run_fleet_bit_exactly() {
         DispatchPolicy::JoinShortestQueue,
         DispatchPolicy::LeastLoadedPool,
     ] {
-        let classic = sim.run_fleet(&load, 3, policy, &mut mk);
-        let uniform = vec![DeviceProfile::uniform(); 3];
-        let profiled = sim.run_fleet_profiles(&load, &uniform, policy, &mut mk);
-        assert_eq!(
-            classic, profiled,
-            "{policy:?}: uniform profiles must be bit-exact"
-        );
+        let inherited =
+            sim.run_fleet_profiles(&load, &[DeviceProfile::uniform(); 3], policy, &mut mk);
         // Explicit overrides equal to the inherited values take the
         // owned-cost-model path and must still agree bit for bit.
         let explicit = vec![
@@ -71,7 +66,7 @@ fn uniform_profiles_reproduce_run_fleet_bit_exactly() {
         ];
         let owned = sim.run_fleet_profiles(&load, &explicit, policy, &mut mk);
         assert_eq!(
-            classic, owned,
+            inherited, owned,
             "{policy:?}: explicit uniform overrides must be bit-exact"
         );
     }
@@ -86,8 +81,9 @@ fn weighted_jsq_degenerates_to_jsq_on_a_uniform_fleet() {
     let sim = engine.serve_sim(0.3, ServeConfig::default());
     let load = skewed_trace(24, 13);
     let mut mk = || Box::new(ContinuousBatchScheduler::new()) as Box<dyn mcbp::serve::Scheduler>;
-    let jsq = sim.run_fleet(&load, 2, DispatchPolicy::JoinShortestQueue, &mut mk);
-    let wjsq = sim.run_fleet(&load, 2, DispatchPolicy::WeightedJsq, &mut mk);
+    let fleet = [DeviceProfile::uniform(); 2];
+    let jsq = sim.run_fleet_profiles(&load, &fleet, DispatchPolicy::JoinShortestQueue, &mut mk);
+    let wjsq = sim.run_fleet_profiles(&load, &fleet, DispatchPolicy::WeightedJsq, &mut mk);
     assert_eq!(jsq.records, wjsq.records);
     assert_eq!(jsq.devices, wjsq.devices);
 }
@@ -250,8 +246,13 @@ fn fleet_and_workload_validation_returns_typed_errors() {
     let load = skewed_trace(4, 1);
     let mut mk = || Box::new(ContinuousBatchScheduler::new()) as Box<dyn mcbp::serve::Scheduler>;
     assert_eq!(
-        sim.try_run_fleet_profiles(&load, &[], DispatchPolicy::RoundRobin, &mut mk)
-            .err(),
+        sim.try_run_fleet_with_router(
+            &load,
+            &[],
+            &mut DispatchPolicy::RoundRobin.router(),
+            &mut mk
+        )
+        .err(),
         Some(ServeConfigError::EmptyFleet)
     );
     let bad = [
@@ -259,8 +260,13 @@ fn fleet_and_workload_validation_returns_typed_errors() {
         DeviceProfile::uniform().with_throughput(-1.0),
     ];
     assert_eq!(
-        sim.try_run_fleet_profiles(&load, &bad, DispatchPolicy::WeightedJsq, &mut mk)
-            .err(),
+        sim.try_run_fleet_with_router(
+            &load,
+            &bad,
+            &mut DispatchPolicy::WeightedJsq.router(),
+            &mut mk
+        )
+        .err(),
         Some(ServeConfigError::ZeroThroughputProfile { device: 1 })
     );
     let oversized = Workload {
@@ -275,10 +281,10 @@ fn fleet_and_workload_validation_returns_typed_errors() {
             if prefix_tokens == 1 << 20
     ));
     assert_eq!(
-        sim.try_run_fleet_profiles(
+        sim.try_run_fleet_with_router(
             &oversized,
             &[DeviceProfile::uniform()],
-            DispatchPolicy::PrefixAffinity,
+            &mut DispatchPolicy::PrefixAffinity.router(),
             &mut mk
         )
         .err(),

@@ -1,0 +1,244 @@
+//! Golden digests of the fleet drive: the FNV-1a-64 of
+//! `ServeReport::to_json()` and of the encoded `RunTrace` for fixed runs
+//! over every dispatch policy, three fleet shapes (one device, four
+//! `Unified` devices, and a `[Prefill, Prefill, Decode, Unified]` split
+//! fleet) and both "no eviction" and drop-and-recompute. A refactor of
+//! the serving layer must leave every digest unchanged; a deliberate
+//! behaviour change must update the table and say why.
+//!
+//! A toy accelerator keeps the 30 runs cheap. On a mismatch the test
+//! prints the full recomputed table.
+
+use mcbp::model::LlmConfig;
+use mcbp::serve::{
+    DeviceProfile, DeviceRole, DispatchPolicy, PreemptConfig, Priority, PriorityScheduler, Request,
+    RequestId, Scheduler, ServeConfig, ServeSim, SharedPrefix, SloSpec, Workload,
+};
+use mcbp::workloads::{
+    Accelerator, PhaseCost, RunReport, SparsityProfile, Task, TraceContext, WeightGenerator,
+};
+
+struct Toy;
+
+impl Accelerator for Toy {
+    fn name(&self) -> &str {
+        "toy"
+    }
+
+    fn run(&self, ctx: &TraceContext) -> RunReport {
+        let b = ctx.batch as f64;
+        RunReport {
+            prefill: PhaseCost {
+                gemm_cycles: 10.0 * ctx.task.prompt_len as f64 * b,
+                compute_pj: ctx.task.prompt_len as f64 * b,
+                ..Default::default()
+            },
+            decode: PhaseCost {
+                weight_load_cycles: 1_000_000.0,
+                kv_load_cycles: 100.0 * ctx.task.prompt_len as f64 * b * ctx.task.decode_len as f64,
+                compute_pj: b,
+                ..Default::default()
+            },
+        }
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn template() -> TraceContext {
+    let model = LlmConfig::opt1b3();
+    let gen = WeightGenerator::for_model(&model);
+    TraceContext {
+        model,
+        task: Task::cola(),
+        batch: 1,
+        weight_profile: SparsityProfile::measure(&gen.quantized_sample(16, 64, 1), 4),
+        attention_keep: 0.3,
+    }
+}
+
+/// Staggered arrivals in tight bursts, both priority classes, a shared
+/// prefix and prompt-only requests: enough pressure on a small pool that
+/// drop-and-recompute evicts.
+fn workload() -> Workload {
+    let requests = (0..24u64)
+        .map(|i| Request {
+            id: i as RequestId,
+            arrival_cycle: 150_000.0 * (i / 4) as f64 + 1_000.0 * (i % 4) as f64,
+            prompt_len: 48 + 23 * (i as usize % 5),
+            decode_len: if i % 7 == 3 { 0 } else { 2 + (i as usize % 6) },
+            task_name: "golden",
+            priority: if i % 3 == 0 {
+                Priority::Interactive
+            } else {
+                Priority::Batch
+            },
+            slo: SloSpec::none(),
+            prefix: (i % 4 == 1).then(|| SharedPrefix::new(9, 32)),
+        })
+        .collect();
+    Workload {
+        requests,
+        closed_loop: None,
+    }
+}
+
+/// A simulator whose per-device pool holds about 100 tokens of KV.
+fn sim(accel: &Toy, preempt: PreemptConfig) -> ServeSim<'_> {
+    let template = template();
+    let cfg = ServeConfig {
+        kv_budget_bytes: Some(template.model.kv_cache_bytes(100, 1)),
+        preempt,
+        ..ServeConfig::default()
+    };
+    ServeSim::try_new(accel, template, cfg).expect("valid config")
+}
+
+fn shapes() -> [(&'static str, Vec<DeviceProfile<'static>>); 3] {
+    let role = |r| DeviceProfile::uniform().with_role(r);
+    [
+        ("1x", vec![DeviceProfile::uniform()]),
+        ("4x-unified", vec![DeviceProfile::uniform(); 4]),
+        (
+            "ppdu",
+            vec![
+                role(DeviceRole::Prefill),
+                role(DeviceRole::Prefill),
+                role(DeviceRole::Decode),
+                role(DeviceRole::Unified),
+            ],
+        ),
+    ]
+}
+
+/// `(label, report digest, trace digest)` for every run, in table order.
+fn digests() -> Vec<(String, u64, u64)> {
+    let accel = Toy;
+    let workload = workload();
+    let mut out = Vec::new();
+    for (evict, preempt) in [
+        ("none", PreemptConfig::default()),
+        ("drop", PreemptConfig::drop_recompute()),
+    ] {
+        let sim = sim(&accel, preempt);
+        for (shape, profiles) in shapes() {
+            for policy in DispatchPolicy::ALL {
+                let mut mk = || -> Box<dyn Scheduler> { Box::new(PriorityScheduler::new()) };
+                let (report, trace) =
+                    sim.run_fleet_profiles_traced(&workload, &profiles, policy, &mut mk);
+                assert_eq!(report.completed + report.dropped, workload.requests.len());
+                let bytes = mcbp::trace::to_bytes(&trace).expect("trace encodes");
+                out.push((
+                    format!("{shape}/{}/{evict}", policy.name()),
+                    fnv1a64(report.to_json().as_bytes()),
+                    fnv1a64(&bytes),
+                ));
+            }
+        }
+    }
+    out
+}
+
+const GOLDENS: &[(&str, u64, u64)] = &[
+    ("1x/rr/none", 0x52911cf3a3f8d491, 0x7e4e870ab9560dd9),
+    ("1x/jsq/none", 0x52911cf3a3f8d491, 0x7e4e870ab9560dd9),
+    ("1x/llp/none", 0x52911cf3a3f8d491, 0x7e4e870ab9560dd9),
+    ("1x/wjsq/none", 0x52911cf3a3f8d491, 0x7e4e870ab9560dd9),
+    ("1x/prefix/none", 0x52911cf3a3f8d491, 0x7e4e870ab9560dd9),
+    ("4x-unified/rr/none", 0xaffa6b7bcf1cd338, 0x3cf02d5164717b9c),
+    (
+        "4x-unified/jsq/none",
+        0xdfb4c87ba49716d1,
+        0xc1599e58bff78b2a,
+    ),
+    (
+        "4x-unified/llp/none",
+        0x58267e56cb568df0,
+        0x5368d361e43105a2,
+    ),
+    (
+        "4x-unified/wjsq/none",
+        0x8a2107ba46b7f6f6,
+        0xc1599e58bff78b2a,
+    ),
+    (
+        "4x-unified/prefix/none",
+        0x6f35ba57b343fce7,
+        0x1405735269635466,
+    ),
+    ("ppdu/rr/none", 0xb1b79e4deb4862d9, 0xe308b4ca463b9910),
+    ("ppdu/jsq/none", 0xff1fb3cf11cdef97, 0xb949240489bb1844),
+    ("ppdu/llp/none", 0x699a689f6bbe95ca, 0x2144900a48614485),
+    ("ppdu/wjsq/none", 0xd35ee2cfc0508de0, 0xb949240489bb1844),
+    ("ppdu/prefix/none", 0x6bb628a0cd854401, 0xb949240489bb1844),
+    ("1x/rr/drop", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/jsq/drop", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/llp/drop", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/wjsq/drop", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/prefix/drop", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("4x-unified/rr/drop", 0x0776941aef81a80d, 0xb2fecf346207bd41),
+    (
+        "4x-unified/jsq/drop",
+        0x00cd9716f3b7d832,
+        0x3cf353553cb1b6c7,
+    ),
+    (
+        "4x-unified/llp/drop",
+        0x094e0caf51758595,
+        0x6304656a973137c0,
+    ),
+    (
+        "4x-unified/wjsq/drop",
+        0xea1463cd2e6e26e5,
+        0x3cf353553cb1b6c7,
+    ),
+    (
+        "4x-unified/prefix/drop",
+        0xa78ba9ac1df09290,
+        0xf8e94e3484f58290,
+    ),
+    ("ppdu/rr/drop", 0x0a2d0834dc66421c, 0x4c06bc6edec2a8e8),
+    ("ppdu/jsq/drop", 0xde922acf87722ee0, 0x72c6e09bb1a71898),
+    ("ppdu/llp/drop", 0x699a689f6bbe95ca, 0x2144900a48614485),
+    ("ppdu/wjsq/drop", 0x214f73aa602b7baf, 0x72c6e09bb1a71898),
+    ("ppdu/prefix/drop", 0x28d8b97430ff9ff0, 0xf2b3387731c86292),
+];
+
+#[test]
+fn fleet_runs_match_their_golden_digests() {
+    let got = digests();
+    let table: String = got
+        .iter()
+        .map(|(label, r, t)| format!("    (\"{label}\", 0x{r:016x}, 0x{t:016x}),\n"))
+        .collect();
+    let matches = got.len() == GOLDENS.len()
+        && got
+            .iter()
+            .zip(GOLDENS.iter().copied())
+            .all(|((label, r, t), g)| (label.as_str(), *r, *t) == g);
+    assert!(
+        matches,
+        "golden digests changed; recomputed table:\n{table}"
+    );
+}
+
+/// The goldens exercise what they claim to: drop-and-recompute evicts,
+/// and the split fleet hands requests off.
+#[test]
+fn golden_runs_preempt_and_hand_off() {
+    let accel = Toy;
+    let sim = sim(&accel, PreemptConfig::drop_recompute());
+    let [_, unified, split] = shapes();
+    let mut mk = || -> Box<dyn Scheduler> { Box::new(PriorityScheduler::new()) };
+    let report =
+        sim.run_fleet_profiles(&workload(), &unified.1, DispatchPolicy::RoundRobin, &mut mk);
+    assert!(report.preempt.preemptions > 0);
+    let report = sim.run_fleet_profiles(&workload(), &split.1, DispatchPolicy::RoundRobin, &mut mk);
+    assert!(report.preempt.preemptions > 0);
+    assert!(report.handoff.handoffs_out > 0);
+}
