@@ -2,17 +2,21 @@
 //! `ServeReport::to_json()` and of the encoded `RunTrace` for fixed runs
 //! over every dispatch policy, three fleet shapes (one device, four
 //! `Unified` devices, and a `[Prefill, Prefill, Decode, Unified]` split
-//! fleet) and both "no eviction" and drop-and-recompute. A refactor of
-//! the serving layer must leave every digest unchanged; a deliberate
-//! behaviour change must update the table and say why.
+//! fleet) and three eviction policies (none, drop-and-recompute, swap),
+//! plus two targeted runs that reach admission branches the table does
+//! not: a handoff dropped on arrival, and a swap victim resuming after
+//! its shared prefix was reclaimed. A refactor of the serving layer must
+//! leave every digest unchanged; a deliberate behaviour change must
+//! update the table and say why.
 //!
-//! A toy accelerator keeps the 30 runs cheap. On a mismatch the test
+//! A toy accelerator keeps the 47 runs cheap. On a mismatch the test
 //! prints the full recomputed table.
 
 use mcbp::model::LlmConfig;
 use mcbp::serve::{
-    DeviceProfile, DeviceRole, DispatchPolicy, PreemptConfig, Priority, PriorityScheduler, Request,
-    RequestId, Scheduler, ServeConfig, ServeSim, SharedPrefix, SloSpec, Workload,
+    request_kv_bytes, DeviceProfile, DeviceRole, DispatchPolicy, PreemptConfig, Priority,
+    PriorityScheduler, Request, RequestId, RunTrace, Scheduler, ServeConfig, ServeReport, ServeSim,
+    SharedPrefix, SloSpec, Workload,
 };
 use mcbp::workloads::{
     Accelerator, PhaseCost, RunReport, SparsityProfile, Task, TraceContext, WeightGenerator,
@@ -116,6 +120,78 @@ fn shapes() -> [(&'static str, Vec<DeviceProfile<'static>>); 3] {
     ]
 }
 
+/// A prefix-free request with no SLO.
+fn request(id: RequestId, prompt: usize, decode: usize, at: f64, priority: Priority) -> Request {
+    Request {
+        id,
+        arrival_cycle: at,
+        prompt_len: prompt,
+        decode_len: decode,
+        task_name: "golden",
+        priority,
+        slo: SloSpec::none(),
+        prefix: None,
+    }
+}
+
+/// A `[Prefill, Decode]` fleet whose decode pool can never hold the one
+/// request's peak (the prefill pool can): the handoff is dropped on
+/// arrival, after the prefill device produced token 1.
+fn handoff_drop() -> (ServeConfig, Vec<DeviceProfile<'static>>, Workload) {
+    let decode_budget = request_kv_bytes(&LlmConfig::opt1b3(), 100, 0.3);
+    let profiles = vec![
+        DeviceProfile::uniform().with_role(DeviceRole::Prefill),
+        DeviceProfile::uniform()
+            .with_role(DeviceRole::Decode)
+            .with_kv_budget(decode_budget),
+    ];
+    let workload = Workload {
+        requests: vec![request(0, 200, 4, 0.0, Priority::Batch)],
+        closed_loop: None,
+    };
+    (ServeConfig::default(), profiles, workload)
+}
+
+/// One device whose pool holds 100 tokens of pruned KV, under swap: an
+/// interactive arrival swaps out the batch request that holds a shared
+/// prefix, and a second interactive arrival reclaims that prefix while
+/// the victim is suspended, so the victim resumes with its prefix region
+/// re-prefilled.
+fn swap_prefix_reclaim() -> (ServeConfig, Vec<DeviceProfile<'static>>, Workload) {
+    let cfg = ServeConfig {
+        kv_budget_bytes: Some(request_kv_bytes(&LlmConfig::opt1b3(), 100, 0.3)),
+        preempt: PreemptConfig::swap(),
+        ..ServeConfig::default()
+    };
+    let workload = Workload {
+        requests: vec![
+            request(0, 64, 30, 0.0, Priority::Batch).with_prefix(SharedPrefix::new(7, 32)),
+            request(1, 60, 5, 5_000.0, Priority::Interactive),
+            request(2, 6, 4, 6_000.0, Priority::Interactive),
+        ],
+        closed_loop: None,
+    };
+    (cfg, vec![DeviceProfile::uniform()], workload)
+}
+
+/// Runs one targeted case under the priority scheduler and round-robin
+/// dispatch, traced.
+fn run_targeted(
+    case: fn() -> (ServeConfig, Vec<DeviceProfile<'static>>, Workload),
+) -> (ServeReport, RunTrace) {
+    let accel = Toy;
+    let (cfg, profiles, workload) = case();
+    let sim = ServeSim::try_new(&accel, template(), cfg).expect("valid config");
+    let mut mk = || -> Box<dyn Scheduler> { Box::new(PriorityScheduler::new()) };
+    sim.run_fleet_profiles_traced(&workload, &profiles, DispatchPolicy::RoundRobin, &mut mk)
+}
+
+/// One table row: `(label, report digest, trace digest)`.
+fn digest(label: String, report: &ServeReport, trace: &RunTrace) -> (String, u64, u64) {
+    let bytes = mcbp::trace::to_bytes(trace).expect("trace encodes");
+    (label, fnv1a64(report.to_json().as_bytes()), fnv1a64(&bytes))
+}
+
 /// `(label, report digest, trace digest)` for every run, in table order.
 fn digests() -> Vec<(String, u64, u64)> {
     let accel = Toy;
@@ -124,6 +200,7 @@ fn digests() -> Vec<(String, u64, u64)> {
     for (evict, preempt) in [
         ("none", PreemptConfig::default()),
         ("drop", PreemptConfig::drop_recompute()),
+        ("swap", PreemptConfig::swap()),
     ] {
         let sim = sim(&accel, preempt);
         for (shape, profiles) in shapes() {
@@ -132,14 +209,20 @@ fn digests() -> Vec<(String, u64, u64)> {
                 let (report, trace) =
                     sim.run_fleet_profiles_traced(&workload, &profiles, policy, &mut mk);
                 assert_eq!(report.completed + report.dropped, workload.requests.len());
-                let bytes = mcbp::trace::to_bytes(&trace).expect("trace encodes");
-                out.push((
+                out.push(digest(
                     format!("{shape}/{}/{evict}", policy.name()),
-                    fnv1a64(report.to_json().as_bytes()),
-                    fnv1a64(&bytes),
+                    &report,
+                    &trace,
                 ));
             }
         }
+    }
+    for (label, case) in [
+        ("handoff-drop", handoff_drop as fn() -> _),
+        ("swap-prefix-reclaim", swap_prefix_reclaim),
+    ] {
+        let (report, trace) = run_targeted(case);
+        out.push(digest(label.to_owned(), &report, &trace));
     }
     out
 }
@@ -207,6 +290,43 @@ const GOLDENS: &[(&str, u64, u64)] = &[
     ("ppdu/llp/drop", 0x699a689f6bbe95ca, 0x2144900a48614485),
     ("ppdu/wjsq/drop", 0x214f73aa602b7baf, 0x72c6e09bb1a71898),
     ("ppdu/prefix/drop", 0x28d8b97430ff9ff0, 0xf2b3387731c86292),
+    ("1x/rr/swap", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/jsq/swap", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/llp/swap", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/wjsq/swap", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("1x/prefix/swap", 0x5362d9984dcb02d0, 0x5cfb793b8be8831d),
+    ("4x-unified/rr/swap", 0x0776941aef81a80d, 0xb2fecf346207bd41),
+    (
+        "4x-unified/jsq/swap",
+        0x00cd9716f3b7d832,
+        0x3cf353553cb1b6c7,
+    ),
+    (
+        "4x-unified/llp/swap",
+        0x094e0caf51758595,
+        0x6304656a973137c0,
+    ),
+    (
+        "4x-unified/wjsq/swap",
+        0xea1463cd2e6e26e5,
+        0x3cf353553cb1b6c7,
+    ),
+    (
+        "4x-unified/prefix/swap",
+        0xa78ba9ac1df09290,
+        0xf8e94e3484f58290,
+    ),
+    ("ppdu/rr/swap", 0x59f4eecf1de27206, 0xc8f685c4fee8ed1e),
+    ("ppdu/jsq/swap", 0x8a5df24532dbecca, 0x2749e46021a2f518),
+    ("ppdu/llp/swap", 0x699a689f6bbe95ca, 0x2144900a48614485),
+    ("ppdu/wjsq/swap", 0x825453f521b49607, 0x2749e46021a2f518),
+    ("ppdu/prefix/swap", 0x563f6e13a0f51ed8, 0x2749e46021a2f518),
+    ("handoff-drop", 0xccd8999620f993e0, 0xbed5a224f2613e59),
+    (
+        "swap-prefix-reclaim",
+        0x059fd21eced4db82,
+        0x15b15460dc3addca,
+    ),
 ];
 
 #[test]
@@ -228,17 +348,44 @@ fn fleet_runs_match_their_golden_digests() {
 }
 
 /// The goldens exercise what they claim to: drop-and-recompute evicts,
-/// and the split fleet hands requests off.
+/// swap really swaps, the split fleet hands requests off, and the two
+/// targeted runs reach their branches.
 #[test]
 fn golden_runs_preempt_and_hand_off() {
     let accel = Toy;
-    let sim = sim(&accel, PreemptConfig::drop_recompute());
     let [_, unified, split] = shapes();
     let mut mk = || -> Box<dyn Scheduler> { Box::new(PriorityScheduler::new()) };
+    let sim_drop = sim(&accel, PreemptConfig::drop_recompute());
     let report =
-        sim.run_fleet_profiles(&workload(), &unified.1, DispatchPolicy::RoundRobin, &mut mk);
+        sim_drop.run_fleet_profiles(&workload(), &unified.1, DispatchPolicy::RoundRobin, &mut mk);
     assert!(report.preempt.preemptions > 0);
-    let report = sim.run_fleet_profiles(&workload(), &split.1, DispatchPolicy::RoundRobin, &mut mk);
+    let report =
+        sim_drop.run_fleet_profiles(&workload(), &split.1, DispatchPolicy::RoundRobin, &mut mk);
     assert!(report.preempt.preemptions > 0);
     assert!(report.handoff.handoffs_out > 0);
+    let sim_swap = sim(&accel, PreemptConfig::swap());
+    let report =
+        sim_swap.run_fleet_profiles(&workload(), &split.1, DispatchPolicy::RoundRobin, &mut mk);
+    assert!(report.preempt.swap_out_bytes > 0, "the swap column swaps");
+
+    // Handoff dropped on arrival: token 1 was delivered on the prefill
+    // device, so the drop record keeps a finite TTFT.
+    let (report, _) = run_targeted(handoff_drop);
+    assert_eq!((report.completed, report.dropped), (0, 1));
+    let rec = &report.records[0];
+    assert_eq!(rec.tokens, 1);
+    assert!(rec.ttft_cycles().is_finite());
+    let h = report.handoff;
+    assert_eq!((h.handoffs_out, h.handoffs_in), (1, 1));
+    assert_eq!(h.bytes_out, h.bytes_in);
+
+    // Swap victim resuming after its prefix was reclaimed: the restored
+    // suffix is kept, the prefix region replays.
+    let (report, _) = run_targeted(swap_prefix_reclaim);
+    assert_eq!((report.completed, report.dropped), (3, 0));
+    assert_eq!(report.preempt.preemptions, 1);
+    assert_eq!(report.prefix.reclaimed, 1);
+    assert!(report.preempt.swap_out_bytes > 0);
+    assert_eq!(report.preempt.swap_out_bytes, report.preempt.swap_in_bytes);
+    assert!(report.preempt.recompute_seconds > 0.0);
 }
