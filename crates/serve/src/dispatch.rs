@@ -598,13 +598,14 @@ fn route_handoffs(
     let mut routed = 0;
     for &src in &plan.handoff_sources {
         for h in devs[src].take_outbound() {
-            let target = route_among(router, &h.req, &plan.decode, |i| device_view(i, &devs[i]));
+            let req = &h.flight.req;
+            let target = route_among(router, req, &plan.decode, |i| device_view(i, &devs[i]));
             let cycles = devs[src].handoff_transfer_cycles(h.bytes);
             let arrival = h.ready_cycle + cycles;
             devs[src].note_handoff_out(h.bytes, cycles);
             if trace {
                 route_log.push(TraceEvent::Handoff {
-                    id: h.req.id,
+                    id: req.id,
                     from: src as u32,
                     to: target as u32,
                     cycle: h.ready_cycle,
@@ -733,7 +734,7 @@ fn drive<'a>(
             }
         }
     }
-    debug_assert!(
+    assert!(
         devs.iter().all(DeviceSim::is_drained),
         "driver exited with undone device work"
     );
@@ -769,7 +770,7 @@ fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
     let mut prev_cycle = f64::NEG_INFINITY;
     for (cycle, delta) in deltas {
         if cycle > prev_cycle {
-            debug_assert!(
+            assert!(
                 live >= 0,
                 "fleet concurrency sweep negative at cycle boundary {cycle}"
             );
@@ -778,7 +779,7 @@ fn fleet_peak_concurrency(logs: &[&[(f64, i32)]]) -> usize {
         live += i64::from(delta);
         peak = peak.max(live);
     }
-    debug_assert!(live >= 0, "fleet concurrency sweep ended negative");
+    assert!(live >= 0, "fleet concurrency sweep ended negative");
     usize::try_from(peak).expect("peak is non-negative")
 }
 

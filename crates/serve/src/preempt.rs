@@ -202,6 +202,11 @@ impl CustodyLedger {
         bytes
     }
 
+    /// The bytes held for `id`, if it is in custody.
+    pub(crate) fn held_for(&self, id: RequestId) -> Option<u64> {
+        self.held.get(&id).copied()
+    }
+
     /// Bytes currently in custody.
     #[must_use]
     pub fn held_bytes(&self) -> u64 {

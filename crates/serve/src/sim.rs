@@ -22,6 +22,33 @@
 //!    residency grows, and completions retire (releasing their
 //!    reservations).
 //!
+//! # Request life cycle
+//!
+//! One request's progress is one `InFlight` record (crate-internal),
+//! moved whole between the holders of the device it is on:
+//!
+//! - **pending → active.** A dispatched request waits in the device's
+//!   arrival-sorted queue as a bare [`crate::Request`]. Admission turns it
+//!   into an `InFlight` and reserves its peak KV in the [`KvCachePool`],
+//!   which holds its bytes while it is active.
+//! - **active ⇄ suspended.** An evicted victim keeps its record in the
+//!   suspended set. Under swap its resident KV bytes move to host memory,
+//!   held by the device's swap [`CustodyLedger`] under its id; under
+//!   drop-and-recompute (or if it held no resident bytes) they are
+//!   discarded and it replays on resume. Resuming reserves again and
+//!   checks any swapped bytes back into the pool.
+//! - **active → outbound → inbound → active**, on a
+//!   [`DeviceRole::Prefill`] device once the request's first token is
+//!   out. Its KV leaves the pool with it into the outbound buffer (the
+//!   record plus its bytes). The dispatch loop routes it over the host
+//!   link to a decode-capable device, whose handoff [`CustodyLedger`]
+//!   holds the bytes while the record waits inbound for the transfer to
+//!   land.
+//!   Admission there checks them in as resident KV.
+//! - A request leaves as a [`RequestRecord`]: completed from the active
+//!   set, or dropped from the queue or the inbound set when its peak can
+//!   never fit the pool.
+//!
 //! # Chunked prefill
 //!
 //! Each in-flight request carries a **prefill cursor**. A prefill
@@ -185,6 +212,12 @@ pub enum ServeConfigError {
         /// The offending request.
         request: RequestId,
     },
+    /// A request's prompt is empty: it has nothing to prefill, so no
+    /// scheduler step could ever serve it.
+    EmptyPrompt {
+        /// The offending request.
+        request: RequestId,
+    },
     /// Two requests declare the same [`PrefixId`] with different lengths —
     /// ids are content-addressed, so one id must always name one prefix.
     PrefixLengthConflict {
@@ -253,6 +286,10 @@ impl std::fmt::Display for ServeConfigError {
                 "request {request} has a non-finite arrival cycle: it could never be \
                  dispatched (only a closed-loop workload may hold +inf, unreleased slots)"
             ),
+            ServeConfigError::EmptyPrompt { request } => write!(
+                f,
+                "request {request} has an empty prompt: there is nothing to prefill"
+            ),
             ServeConfigError::PrefixLengthConflict {
                 prefix,
                 tokens_a,
@@ -297,12 +334,16 @@ impl ServeConfig {
     }
 }
 
-/// A request in flight: its timeline and prefill/decode progress. KV byte
-/// accounting lives in the [`KvCachePool`] ledger, keyed by request id.
+/// One request's progress on its way through a device: its timeline, its
+/// prefill cursor and its decode count. The same record moves between
+/// the device's holders (see the module docs' request life cycle); KV
+/// byte accounting lives in the [`KvCachePool`] ledger and the custody
+/// ledgers, keyed by request id.
 #[derive(Debug, Clone)]
-struct InFlight {
-    req: Request,
-    /// First admission instant (preserved across preemptions).
+pub(crate) struct InFlight {
+    pub(crate) req: Request,
+    /// First admission instant (preserved across preemptions and
+    /// handoffs — TTFT and stall accounting span every device).
     admitted_cycle: f64,
     /// The prefill cursor: tokens of `prefill_target` already processed.
     prefill_done: usize,
@@ -326,6 +367,22 @@ struct InFlight {
 }
 
 impl InFlight {
+    /// A prompt admitted at `now` for the first time, its cursor at the
+    /// start of the prompt.
+    fn fresh(req: Request, now: f64) -> Self {
+        InFlight {
+            admitted_cycle: now,
+            prefill_done: 0,
+            prefill_target: req.prompt_len,
+            replay_tokens: 0,
+            prefix_bytes: 0,
+            tokens: 0,
+            first_token_cycle: 0.0,
+            preemptions: 0,
+            req,
+        }
+    }
+
     fn context(&self) -> usize {
         self.req.prompt_len + self.tokens
     }
@@ -333,38 +390,39 @@ impl InFlight {
     fn prefilled(&self) -> bool {
         self.prefill_done >= self.prefill_target
     }
-}
 
-/// An evicted request waiting to resume: its progress survives eviction,
-/// only its device-resident KV is gone (discarded or held in host memory).
-#[derive(Debug, Clone)]
-struct Suspended {
-    req: Request,
-    admitted_cycle: f64,
-    tokens: usize,
-    first_token_cycle: f64,
-    preemptions: usize,
-    /// Prefill cursor at eviction. A swap victim resumes from it (its
-    /// prefix KV is preserved in host memory); a drop-and-recompute
-    /// victim restarts from zero and replays exactly this many completed
-    /// tokens (plus its generated tokens when the prefill had finished).
-    prefill_done: usize,
-    /// Prefill target at eviction.
-    prefill_target: usize,
-    /// Replay attribution the victim still carried at eviction.
-    replay_tokens: usize,
-    /// KV bytes held in the swap ledger (0 under drop-and-recompute).
-    swapped_bytes: u64,
-}
+    /// Unprefilled plus undecoded tokens.
+    fn remaining_tokens(&self) -> usize {
+        (self.prefill_target - self.prefill_done) + (self.req.decode_len - self.tokens)
+    }
 
-impl Suspended {
-    /// Queue-ordering arrival key (closed-loop releases carry infinity;
-    /// fall back to the first admission instant).
+    /// Queue-ordering arrival key of a suspended victim (closed-loop
+    /// releases carry infinity; fall back to the first admission
+    /// instant).
     fn arrival_key(&self) -> f64 {
         if self.req.arrival_cycle.is_finite() {
             self.req.arrival_cycle
         } else {
             self.admitted_cycle
+        }
+    }
+
+    /// The request's final record at `now`. A request that never produced
+    /// a token — a prompt-only completion, or a prompt dropped before
+    /// admission — stamps its first token at `now`.
+    fn into_record(self, state: RequestState, now: f64) -> RequestRecord {
+        RequestRecord {
+            state,
+            admitted_cycle: self.admitted_cycle,
+            first_token_cycle: if self.tokens == 0 {
+                now
+            } else {
+                self.first_token_cycle
+            },
+            completed_cycle: now,
+            tokens: self.tokens,
+            preemptions: self.preemptions,
+            request: self.req,
         }
     }
 }
@@ -388,29 +446,17 @@ struct StepTally {
     utilization_sum: f64,
 }
 
-/// A decode continuation leaving a [`DeviceRole::Prefill`] device: the
-/// request plus the resume state its decode device needs. The prefill
-/// device generates the request's *first token* before handing off (the
-/// DistServe cut point — TTFT is produced entirely on the prefill side,
-/// so it never waits on a second admission into the decode pool). The
+/// A decode continuation leaving a [`DeviceRole::Prefill`] device. The
+/// prefill device generates the request's *first token* before handing
+/// off (the DistServe cut point — TTFT is produced entirely on the
+/// prefill side, so it never waits on a second admission into the decode
+/// pool), so the record carries a finished prefill and `tokens ≥ 1`. The
 /// source has already released the KV from its pool (and dropped its
 /// prefix reference) — the bytes exist only here until the driver routes
-/// the handoff and the destination's handoff [`CustodyLedger`] takes custody.
+/// the handoff and the destination's handoff [`CustodyLedger`] takes
+/// custody.
 pub(crate) struct HandoffOut {
-    pub(crate) req: Request,
-    /// First admission instant on the source device (preserved across
-    /// the handoff — TTFT and stall accounting span both devices).
-    pub(crate) admitted_cycle: f64,
-    pub(crate) preemptions: usize,
-    /// Completed prefill cursor (the decode device receives finished KV
-    /// and replays nothing).
-    pub(crate) prefill_done: usize,
-    /// Decode cursor at departure: ≥ 1, since the source produces the
-    /// first token before the continuation becomes extractable.
-    pub(crate) tokens: usize,
-    /// Source-device clock at which token 1 was generated (the request's
-    /// TTFT endpoint, preserved verbatim across the handoff).
-    pub(crate) first_token_cycle: f64,
+    pub(crate) flight: InFlight,
     /// Full KV bytes leaving the source pool — prefilled prompt plus the
     /// generated-token suffix: the request's own residency plus its
     /// shared-prefix share.
@@ -424,20 +470,112 @@ pub(crate) struct HandoffOut {
 /// are held by the destination's handoff [`CustodyLedger`]; it is in neither
 /// device's active or suspended set, so victim selection cannot touch it
 /// (the ledger panics are the double-free backstop).
-struct PendingHandoff {
-    req: Request,
-    admitted_cycle: f64,
-    preemptions: usize,
-    prefill_done: usize,
-    /// Decode cursor carried from the source (≥ 1; see
-    /// [`HandoffOut::tokens`]).
-    tokens: usize,
-    /// Source-side first-token instant (see
-    /// [`HandoffOut::first_token_cycle`]).
-    first_token_cycle: f64,
+struct Inbound {
+    flight: InFlight,
     /// Destination clock at which the transfer completes and the request
     /// becomes admissible.
     arrival_cycle: f64,
+}
+
+/// Which holder an admission candidate waits in.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Suspended,
+    Pending,
+    Inbound,
+}
+
+/// How an admission candidate enters the active set: its cursor and the
+/// resident shared prefix it reuses.
+struct Admission {
+    /// `(prefill_done, prefill_target, replay_tokens)` on entry.
+    cursor: (usize, usize, usize),
+    /// The resident prefix the request references from admission on, and
+    /// its bytes (excluded from the request's reservation).
+    prefix: Option<(PrefixId, u64)>,
+    /// Prompt tokens the reuse covers (0 without reuse), reported in the
+    /// `Admit` event and the prefix tally.
+    reused_tokens: usize,
+}
+
+impl Admission {
+    /// The cursor stands and no prefix is reused: a landed handoff brings
+    /// finished KV and replays nothing.
+    fn keep(f: &InFlight) -> Self {
+        Admission {
+            cursor: (f.prefill_done, f.prefill_target, f.replay_tokens),
+            prefix: None,
+            reused_tokens: 0,
+        }
+    }
+
+    /// A prefill that starts from zero over the prompt plus `tokens`
+    /// generated tokens, replaying the first `replay`. A still-resident
+    /// prefix lets it skip the shared region. A fresh prompt is the case
+    /// with no tokens and nothing to replay.
+    fn restart(pool: &KvCachePool, req: &Request, tokens: usize, replay: usize) -> Self {
+        let target = req.prompt_len + tokens;
+        let (start, prefix) = match resident_reuse(pool, req.prefix) {
+            Some((pid, prefix_tokens, bytes)) => (
+                reuse_start(prefix_tokens, target, req.decode_len - tokens),
+                Some((pid, bytes)),
+            ),
+            None => (0, None),
+        };
+        Admission {
+            cursor: (start, target, replay),
+            prefix,
+            reused_tokens: start,
+        }
+    }
+
+    /// Drop-and-recompute resume: the prefill restarts over prompt +
+    /// generated tokens. Replay covers exactly the work the eviction
+    /// discarded: everything when the prefill had completed, otherwise
+    /// only the chunks it had finished (or the replay region it was
+    /// already re-running).
+    fn recompute(pool: &KvCachePool, f: &InFlight) -> Self {
+        let target = f.req.prompt_len + f.tokens;
+        let replay = if f.prefilled() {
+            target
+        } else {
+            f.replay_tokens.max(f.prefill_done).min(target)
+        };
+        Admission::restart(pool, &f.req, f.tokens, replay)
+    }
+
+    /// Swap resume: the swapped KV covers everything done, so the cursor
+    /// stands. It reuses the prefix only if its cursor already sat past
+    /// the prefix at eviction (its swapped KV is then suffix-only) and the
+    /// prefix entry survived reclamation. If that prefix was reclaimed
+    /// while it was suspended, the restored suffix KV is kept but the
+    /// missing prefix region is re-prefilled (attributed as replay — the
+    /// reclamation discarded computed KV).
+    fn swap_in(pool: &KvCachePool, f: &InFlight) -> Self {
+        let reuse =
+            resident_reuse(pool, f.req.prefix).filter(|&(_, tokens, _)| f.prefill_done >= tokens);
+        if let Some((pid, tokens, bytes)) = reuse {
+            return Admission {
+                prefix: Some((pid, bytes)),
+                reused_tokens: tokens,
+                ..Admission::keep(f)
+            };
+        }
+        match f.req.prefix {
+            Some(p) if p.tokens > 0 && f.prefill_done >= p.tokens => {
+                let target = if f.prefilled() {
+                    p.tokens
+                } else {
+                    f.prefill_target
+                };
+                Admission {
+                    cursor: (0, target, f.prefill_done.min(target)),
+                    ..Admission::keep(f)
+                }
+            }
+            _ => Admission::keep(f),
+        }
+    }
 }
 
 /// Running outbound prefill→decode transfer counters of a source device
@@ -605,13 +743,15 @@ impl<'a> ServeSim<'a> {
 
     /// Checks a workload's internal consistency: every arrival cycle must
     /// be finite (or `+∞`, an unreleased slot, in a closed-loop workload),
-    /// every declared [`crate::SharedPrefix`] must fit inside its
-    /// request's prompt, and one [`PrefixId`] must always be declared with
-    /// one length (ids are content-addressed).
+    /// every prompt must hold at least one token, every declared
+    /// [`crate::SharedPrefix`] must fit inside its request's prompt, and
+    /// one [`PrefixId`] must always be declared with one length (ids are
+    /// content-addressed).
     ///
     /// # Errors
     ///
     /// Returns [`ServeConfigError::NonFiniteArrival`],
+    /// [`ServeConfigError::EmptyPrompt`],
     /// [`ServeConfigError::PrefixExceedsPrompt`] or
     /// [`ServeConfigError::PrefixLengthConflict`] for the first
     /// offending request.
@@ -623,6 +763,9 @@ impl<'a> ServeSim<'a> {
             let unreleased_slot = closed && r.arrival_cycle == f64::INFINITY;
             if !(r.arrival_cycle.is_finite() || unreleased_slot) {
                 return Err(ServeConfigError::NonFiniteArrival { request: r.id });
+            }
+            if r.prompt_len == 0 {
+                return Err(ServeConfigError::EmptyPrompt { request: r.id });
             }
             if let Some(p) = r.prefix {
                 if p.tokens > r.prompt_len {
@@ -716,14 +859,17 @@ pub(crate) struct DeviceSim<'s, 'a> {
     /// driver's dispatch fixpoint).
     outbound: Vec<HandoffOut>,
     /// Routed handoffs riding the link toward this device.
-    inbound: Vec<PendingHandoff>,
+    inbound: Vec<Inbound>,
     step_tally: StepTally,
     prefix_tally: PrefixReport,
     /// Requests dispatched to this device, arrival-sorted, not yet
     /// admitted.
     pending: VecDeque<Request>,
     active: Vec<InFlight>,
-    suspended: Vec<Suspended>,
+    /// Evicted victims waiting to resume. A swap victim's KV bytes sit in
+    /// `swap_ledger` under its id; a drop-and-recompute victim (or a swap
+    /// victim that held no resident bytes) has none and replays.
+    suspended: Vec<InFlight>,
     pub(crate) records: Vec<RequestRecord>,
     /// This device's clock, in core cycles.
     pub(crate) now: f64,
@@ -879,23 +1025,19 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// and the request queues for admission once the transfer lands at
     /// `arrival_cycle`.
     pub(crate) fn receive_handoff(&mut self, h: HandoffOut, arrival_cycle: f64) {
-        self.handoff_ledger.check_out(h.req.id, h.bytes);
-        let entry = PendingHandoff {
-            req: h.req,
-            admitted_cycle: h.admitted_cycle,
-            preemptions: h.preemptions,
-            prefill_done: h.prefill_done,
-            tokens: h.tokens,
-            first_token_cycle: h.first_token_cycle,
-            arrival_cycle,
-        };
+        let id = h.flight.req.id;
+        self.handoff_ledger.check_out(id, h.bytes);
         // Arrival-sorted like `pending`; ids break exact-cycle ties so
         // insertion order never matters.
         let pos = self
             .inbound
             .iter()
-            .rposition(|p| (p.arrival_cycle, p.req.id) <= (entry.arrival_cycle, entry.req.id))
+            .rposition(|p| (p.arrival_cycle, p.flight.req.id) <= (arrival_cycle, id))
             .map_or(0, |i| i + 1);
+        let entry = Inbound {
+            flight: h.flight,
+            arrival_cycle,
+        };
         self.inbound.insert(pos, entry);
     }
 
@@ -908,22 +1050,14 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             .iter()
             .map(|r| r.prompt_len + r.decode_len)
             .sum();
-        let active: usize = self
+        let admitted: usize = self
             .active
             .iter()
-            .map(|f| (f.prefill_target - f.prefill_done) + (f.req.decode_len - f.tokens))
+            .chain(&self.suspended)
+            .chain(self.inbound.iter().map(|h| &h.flight))
+            .map(InFlight::remaining_tokens)
             .sum();
-        let suspended: usize = self
-            .suspended
-            .iter()
-            .map(|s| (s.prefill_target - s.prefill_done) + (s.req.decode_len - s.tokens))
-            .sum();
-        let inbound: usize = self
-            .inbound
-            .iter()
-            .map(|h| h.req.decode_len - h.tokens)
-            .sum();
-        (pending + active + suspended + inbound) as u64
+        (pending + admitted) as u64
     }
 
     /// Runs admission to a fixpoint: resumable victims and arrived queue
@@ -944,7 +1078,7 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             if self.active.is_empty() {
                 // Admission into an idle pool cannot block, so nothing is
                 // suspended either.
-                debug_assert!(
+                assert!(
                     self.suspended.is_empty(),
                     "suspended work on an idle device"
                 );
@@ -996,350 +1130,206 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 i += 1;
                 continue;
             }
-            let f = self.active.remove(i);
-            let freed = self.pool.release(f.req.id);
-            let bytes = freed.resident_bytes + f.prefix_bytes;
-            if f.prefix_bytes > 0 {
-                self.pool
-                    .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
-            }
+            let mut flight = self.active.remove(i);
+            let prefix_bytes = flight.prefix_bytes;
+            let bytes = self.release(&mut flight) + prefix_bytes;
             self.conc_log.push((self.now, -1));
             self.outbound.push(HandoffOut {
-                prefill_done: f.prefill_target,
-                tokens: f.tokens,
-                first_token_cycle: f.first_token_cycle,
+                flight,
                 bytes,
                 ready_cycle: self.now,
-                req: f.req,
-                admitted_cycle: f.admitted_cycle,
-                preemptions: f.preemptions,
             });
             extracted += 1;
         }
         extracted
     }
 
-    /// One admission sweep at the current clock.
+    /// One admission sweep at the current clock: the best candidate is
+    /// dropped if it can never fit, admitted if it fits (possibly after
+    /// evictions), and otherwise blocks the sweep.
     fn admit_pass(&mut self, drops: &mut usize) {
-        /// Which queue the sweep's best candidate came from.
-        enum Source {
-            Suspended,
-            Pending,
-            Handoff,
-        }
-        let keep = self.cost().template().attention_keep;
-        let model = self.cost().template().model.clone();
-        loop {
-            let best_susp = self
-                .suspended
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i, (s.req.priority, s.arrival_key(), s.req.id)))
-                .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
-            let best_pend = self
-                .pending
-                .iter()
-                .enumerate()
-                .take_while(|(_, r)| r.arrival_cycle <= self.now)
-                .map(|(i, r)| (i, (r.priority, r.arrival_cycle, r.id)))
-                .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
-            // A landed handoff competes like any other admission
-            // candidate, keyed by its link-arrival instant.
-            let best_hand = self
-                .inbound
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.arrival_cycle <= self.now)
-                .map(|(i, h)| (i, (h.req.priority, h.arrival_cycle, h.req.id)))
-                .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a });
-            // Ids are unique, so keys never tie exactly; prefer whichever
-            // source is strictly ahead in admission order.
-            let best = [
-                best_susp.map(|c| (Source::Suspended, c)),
-                best_pend.map(|c| (Source::Pending, c)),
-                best_hand.map(|c| (Source::Handoff, c)),
-            ]
-            .into_iter()
-            .flatten()
-            .reduce(|a, b| if admits_before(b.1 .1, a.1 .1) { b } else { a });
-            let Some((source, _)) = best else { break };
-            if matches!(source, Source::Handoff) {
-                let (idx, (prio, _, id)) = best_hand.expect("handoff candidate");
-                let full_peak =
-                    request_kv_bytes(&model, self.inbound[idx].req.final_context(), keep);
-                if !self.pool.can_ever_fit(full_peak) {
-                    // The decode pool can never hold this request's peak
-                    // (the prefill pool could): the handoff is dropped on
-                    // arrival, its transferred bytes discarded.
-                    let h = self.inbound.remove(idx);
+        while let Some((source, idx)) = self.best_candidate() {
+            let req = match source {
+                Source::Suspended => &self.suspended[idx].req,
+                Source::Pending => &self.pending[idx],
+                Source::Inbound => &self.inbound[idx].flight.req,
+            };
+            let (id, priority) = (req.id, req.priority);
+            let full_peak = self.kv_bytes(req.final_context());
+            // The drop decision uses the *full* peak: a request must be
+            // servable even when its prefix is not resident, or a later
+            // prefix reclamation could leave an admitted-only-by-reuse
+            // victim unable to ever resume. A suspended victim fit once.
+            // A handoff that cannot fit (the prefill pool could) is
+            // dropped on arrival, its transferred bytes discarded; the
+            // source already delivered token 1, so its TTFT stands.
+            if source != Source::Suspended && !self.pool.can_ever_fit(full_peak) {
+                let flight = self.take_candidate(source, idx);
+                if source == Source::Inbound {
                     self.handoff_ledger.check_in(id);
-                    // The source already delivered token 1; the drop
-                    // record keeps that truth (its TTFT stands, only the
-                    // continuation is lost).
-                    self.records.push(RequestRecord {
-                        state: RequestState::Dropped,
-                        admitted_cycle: h.admitted_cycle,
-                        first_token_cycle: h.first_token_cycle,
-                        completed_cycle: self.now,
-                        tokens: h.tokens,
-                        preemptions: h.preemptions,
-                        request: h.req,
-                    });
-                    *drops += 1;
-                    self.record(TraceEvent::Drop {
-                        device: self.device,
-                        cycle: self.now,
-                        id,
-                    });
-                    continue;
                 }
-                if !self.try_admit(id, full_peak, prio, None) {
-                    break;
-                }
-                let h = self.inbound.remove(idx);
-                // The ledger hands the transferred bytes over: they
-                // become resident KV under the fresh reservation (capped
-                // by it — the pools may disagree on the keep ratio).
-                let bytes = self.handoff_ledger.check_in(id);
-                self.pool.grow_resident(id, bytes.min(full_peak));
-                self.active.push(InFlight {
-                    prefill_done: h.prefill_done,
-                    prefill_target: h.prefill_done,
-                    replay_tokens: 0,
-                    prefix_bytes: 0,
-                    req: h.req,
-                    admitted_cycle: h.admitted_cycle,
-                    tokens: h.tokens,
-                    first_token_cycle: h.first_token_cycle,
-                    preemptions: h.preemptions,
-                });
-                self.conc_log.push((self.now, 1));
-                self.record(TraceEvent::Admit {
+                self.records
+                    .push(flight.into_record(RequestState::Dropped, self.now));
+                *drops += 1;
+                self.record(TraceEvent::Drop {
                     device: self.device,
                     cycle: self.now,
                     id,
-                    resumed: true,
-                    reused_prefix_tokens: 0,
-                    queue_depth: self.pending.len() as u32,
                 });
                 continue;
             }
-            let resume = matches!(source, Source::Suspended);
-            if resume {
-                let (idx, (prio, _, id)) = best_susp.expect("resume candidate");
-                let full_peak =
-                    request_kv_bytes(&model, self.suspended[idx].req.final_context(), keep);
-                if self.suspended[idx].swapped_bytes > 0 {
-                    // Swap resume. The cursor reuse holds only if the
-                    // victim's own cursor already sat past its prefix at
-                    // eviction (its swapped KV is then suffix-only) and
-                    // the prefix entry survived reclamation.
-                    let s = &self.suspended[idx];
-                    let reuse = resident_reuse(&self.pool, s.req.prefix)
-                        .filter(|&(_, tokens, _)| s.prefill_done >= tokens);
-                    let had_prefix = s
-                        .req
-                        .prefix
-                        .is_some_and(|p| p.tokens > 0 && s.prefill_done >= p.tokens);
-                    let (pbytes, keep_id) = match reuse {
-                        Some((pid, _, bytes)) => (bytes, Some(pid)),
-                        None => (0, None),
-                    };
-                    if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
-                        break;
-                    }
-                    let s = self.suspended.remove(idx);
-                    // Swap-in: restore the victim's KV from host memory,
-                    // stalling the device for the transfer.
-                    let cycles = self.preempt.transfer_cycles(s.swapped_bytes);
-                    self.now += cycles;
-                    self.pool.advance_clock(self.now);
-                    self.tally.swap_cycles += cycles;
-                    self.swap_ledger.check_in(s.req.id);
-                    self.pool.grow_resident(s.req.id, s.swapped_bytes);
-                    // One resume state per case; only the cursor fields
-                    // differ between them.
-                    let (prefill_done, prefill_target, replay_tokens, prefix_bytes) =
-                        if let Some(pid) = keep_id {
-                            // The prefix KV survives in the shared ledger:
-                            // the cursor stands, only the suffix was moved.
-                            self.pool.ref_prefix(pid);
-                            self.prefix_tally.reused_tokens +=
-                                s.req.prefix.expect("reuse implies a prefix").tokens as u64;
-                            (s.prefill_done, s.prefill_target, s.replay_tokens, pbytes)
-                        } else if had_prefix {
-                            // The victim's cursor leaned on a prefix that
-                            // was reclaimed while it was suspended: the
-                            // restored suffix KV is kept, but the missing
-                            // prefix region must be re-prefilled
-                            // (attributed as replay — the reclamation
-                            // discarded computed KV).
-                            let target = if s.prefill_done >= s.prefill_target {
-                                s.req.prefix.expect("had_prefix").tokens
-                            } else {
-                                s.prefill_target
-                            };
-                            (0, target, s.prefill_done.min(target), 0)
-                        } else {
-                            // No prefix involvement: the cursor survives
-                            // because the swapped KV covers everything done.
-                            (s.prefill_done, s.prefill_target, s.replay_tokens, 0)
-                        };
-                    let reused_prefix_tokens = if keep_id.is_some() {
-                        s.req.prefix.map_or(0, |p| p.tokens as u32)
+            let plan = match source {
+                Source::Suspended => {
+                    let f = &self.suspended[idx];
+                    if self.swap_ledger.held_for(id).is_some() {
+                        Admission::swap_in(&self.pool, f)
                     } else {
-                        0
-                    };
-                    self.active.push(InFlight {
-                        prefill_done,
-                        prefill_target,
-                        replay_tokens,
-                        prefix_bytes,
-                        req: s.req,
-                        admitted_cycle: s.admitted_cycle,
-                        tokens: s.tokens,
-                        first_token_cycle: s.first_token_cycle,
-                        preemptions: s.preemptions,
-                    });
-                    self.conc_log.push((self.now, 1));
-                    self.record(TraceEvent::Admit {
-                        device: self.device,
-                        cycle: self.now,
-                        id,
-                        resumed: true,
-                        reused_prefix_tokens,
-                        queue_depth: self.pending.len() as u32,
-                    });
-                } else {
-                    // Drop-and-recompute resume: the prefill restarts over
-                    // prompt + generated tokens. Replay covers exactly the
-                    // work the eviction discarded: everything when the
-                    // prefill had completed, otherwise only the chunks it
-                    // had finished (or the replay region it was already
-                    // re-running). A still-resident prefix lets the
-                    // restart skip the shared region entirely.
-                    let s = &self.suspended[idx];
-                    let target = s.req.prompt_len + s.tokens;
-                    let replay = if s.prefill_done >= s.prefill_target {
-                        target
-                    } else {
-                        s.replay_tokens.max(s.prefill_done).min(target)
-                    };
-                    let remaining_decode = s.req.decode_len - s.tokens;
-                    let reuse = resident_reuse(&self.pool, s.req.prefix);
-                    let (start, pbytes, keep_id) = match reuse {
-                        Some((pid, tokens, bytes)) => (
-                            reuse_start(tokens, target, remaining_decode),
-                            bytes,
-                            Some(pid),
-                        ),
-                        None => (0, 0, None),
-                    };
-                    if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
-                        break;
+                        Admission::recompute(&self.pool, f)
                     }
-                    let s = self.suspended.remove(idx);
-                    if let Some(pid) = keep_id {
-                        self.pool.ref_prefix(pid);
-                        self.prefix_tally.reused_tokens += start as u64;
-                    }
-                    self.active.push(InFlight {
-                        prefill_done: start,
-                        prefill_target: target,
-                        replay_tokens: replay,
-                        prefix_bytes: pbytes,
-                        req: s.req,
-                        admitted_cycle: s.admitted_cycle,
-                        tokens: s.tokens,
-                        first_token_cycle: s.first_token_cycle,
-                        preemptions: s.preemptions,
-                    });
-                    self.conc_log.push((self.now, 1));
-                    self.record(TraceEvent::Admit {
-                        device: self.device,
-                        cycle: self.now,
-                        id,
-                        resumed: true,
-                        reused_prefix_tokens: start as u32,
-                        queue_depth: self.pending.len() as u32,
-                    });
                 }
-            } else {
-                let (idx, (prio, _, id)) = best_pend.expect("pending candidate");
-                let full_peak = request_kv_bytes(&model, self.pending[idx].final_context(), keep);
-                // The drop decision uses the *full* peak: a request must
-                // be servable even when its prefix is not resident, or a
-                // later prefix reclamation could leave an admitted-only-
-                // by-reuse victim unable to ever resume.
-                if !self.pool.can_ever_fit(full_peak) {
-                    let req = self.pending.remove(idx).expect("index valid");
-                    let dropped = req.id;
-                    self.records.push(RequestRecord {
-                        state: RequestState::Dropped,
-                        admitted_cycle: self.now,
-                        first_token_cycle: self.now,
-                        completed_cycle: self.now,
-                        tokens: 0,
-                        preemptions: 0,
-                        request: req,
-                    });
-                    *drops += 1;
-                    self.record(TraceEvent::Drop {
-                        device: self.device,
-                        cycle: self.now,
-                        id: dropped,
-                    });
-                    continue;
-                }
-                // Prefix reuse: a resident prefix lets the prompt reserve
-                // only its unshared suffix and start the prefill past the
-                // shared region.
-                let req = &self.pending[idx];
-                let reuse = resident_reuse(&self.pool, req.prefix);
-                let remaining_decode = req.decode_len;
-                let target = req.prompt_len;
-                let declared = req.prefix.is_some_and(|p| p.tokens > 0);
-                let (start, pbytes, keep_id) = match reuse {
-                    Some((pid, tokens, bytes)) => (
-                        reuse_start(tokens, target, remaining_decode),
-                        bytes,
-                        Some(pid),
-                    ),
-                    None => (0, 0, None),
-                };
-                if !self.try_admit(id, full_peak - pbytes, prio, keep_id) {
-                    break;
-                }
-                let req = self.pending.remove(idx).expect("index valid");
-                if let Some(pid) = keep_id {
-                    self.pool.ref_prefix(pid);
-                    self.prefix_tally.hits += 1;
-                    self.prefix_tally.reused_tokens += start as u64;
-                } else if declared {
-                    self.prefix_tally.misses += 1;
-                }
-                self.active.push(InFlight {
-                    req,
-                    admitted_cycle: self.now,
-                    prefill_done: start,
-                    prefill_target: target,
-                    replay_tokens: 0,
-                    prefix_bytes: pbytes,
-                    tokens: 0,
-                    first_token_cycle: 0.0,
-                    preemptions: 0,
-                });
-                self.conc_log.push((self.now, 1));
-                self.record(TraceEvent::Admit {
-                    device: self.device,
-                    cycle: self.now,
-                    id,
-                    resumed: false,
-                    reused_prefix_tokens: start as u32,
-                    queue_depth: self.pending.len() as u32,
-                });
+                Source::Pending => Admission::restart(&self.pool, &self.pending[idx], 0, 0),
+                Source::Inbound => Admission::keep(&self.inbound[idx].flight),
+            };
+            let prefix_bytes = plan.prefix.map_or(0, |(_, bytes)| bytes);
+            let keep_prefix = plan.prefix.map(|(pid, _)| pid);
+            if !self.try_admit(id, full_peak - prefix_bytes, priority, keep_prefix) {
+                break;
             }
+            let mut flight = self.take_candidate(source, idx);
+            match source {
+                Source::Suspended => {
+                    if let Some(bytes) = self.swap_ledger.held_for(id) {
+                        // Swap-in: restore the victim's KV from host
+                        // memory, stalling the device for the transfer.
+                        self.transfer_stall(bytes);
+                        self.swap_ledger.check_in(id);
+                        self.pool.grow_resident(id, bytes);
+                    }
+                }
+                Source::Pending => {}
+                Source::Inbound => {
+                    // The ledger hands the transferred bytes over: they
+                    // become resident KV under the fresh reservation
+                    // (capped by it — the pools may disagree on the keep
+                    // ratio).
+                    let bytes = self.handoff_ledger.check_in(id);
+                    self.pool.grow_resident(id, bytes.min(full_peak));
+                }
+            }
+            let fresh = source == Source::Pending;
+            if let Some((pid, _)) = plan.prefix {
+                self.pool.ref_prefix(pid);
+                self.prefix_tally.reused_tokens += plan.reused_tokens as u64;
+                self.prefix_tally.hits += u64::from(fresh);
+            } else if fresh && flight.req.prefix.is_some_and(|p| p.tokens > 0) {
+                self.prefix_tally.misses += 1;
+            }
+            (
+                flight.prefill_done,
+                flight.prefill_target,
+                flight.replay_tokens,
+            ) = plan.cursor;
+            flight.prefix_bytes = prefix_bytes;
+            self.active.push(flight);
+            self.conc_log.push((self.now, 1));
+            self.record(TraceEvent::Admit {
+                device: self.device,
+                cycle: self.now,
+                id,
+                resumed: !fresh,
+                reused_prefix_tokens: plan.reused_tokens as u32,
+                queue_depth: self.pending.len() as u32,
+            });
         }
+    }
+
+    /// The admission sweep's best candidate across the suspended victims,
+    /// the arrived queue entries and the landed handoffs (each keyed by
+    /// its arrival — a handoff by its link-arrival instant), as its
+    /// holder and index. Ids are unique, so keys never tie.
+    fn best_candidate(&self) -> Option<(Source, usize)> {
+        let suspended = self.suspended.iter().enumerate().map(|(i, f)| {
+            (
+                (Source::Suspended, i),
+                (f.req.priority, f.arrival_key(), f.req.id),
+            )
+        });
+        let pending = self
+            .pending
+            .iter()
+            .enumerate()
+            .take_while(|(_, r)| r.arrival_cycle <= self.now)
+            .map(|(i, r)| ((Source::Pending, i), (r.priority, r.arrival_cycle, r.id)));
+        let inbound = self
+            .inbound
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.arrival_cycle <= self.now)
+            .map(|(i, h)| {
+                let r = &h.flight.req;
+                ((Source::Inbound, i), (r.priority, h.arrival_cycle, r.id))
+            });
+        suspended
+            .chain(pending)
+            .chain(inbound)
+            .reduce(|a, b| if admits_before(b.1, a.1) { b } else { a })
+            .map(|(candidate, _)| candidate)
+    }
+
+    /// Removes an admission candidate from its holder; a queued prompt
+    /// becomes a fresh record admitted now.
+    fn take_candidate(&mut self, source: Source, idx: usize) -> InFlight {
+        match source {
+            Source::Suspended => self.suspended.remove(idx),
+            Source::Pending => {
+                InFlight::fresh(self.pending.remove(idx).expect("index valid"), self.now)
+            }
+            Source::Inbound => self.inbound.remove(idx).flight,
+        }
+    }
+
+    /// KV bytes of `tokens` tokens of context on this device's model and
+    /// keep ratio.
+    fn kv_bytes(&self, tokens: usize) -> u64 {
+        let template = self.cost().template();
+        request_kv_bytes(&template.model, tokens, template.attention_keep)
+    }
+
+    /// Stalls the device for one host-link transfer of `bytes` (a swap
+    /// out or in).
+    fn transfer_stall(&mut self, bytes: u64) {
+        let cycles = self.preempt.transfer_cycles(bytes);
+        self.now += cycles;
+        self.pool.advance_clock(self.now);
+        self.tally.swap_cycles += cycles;
+    }
+
+    /// Releases `f`'s reservation and drops its reference on its shared
+    /// prefix; the entry stays resident as a warm cache line, and a later
+    /// admission re-evaluates reuse against it. Returns the resident bytes
+    /// the reservation held.
+    fn release(&mut self, f: &mut InFlight) -> u64 {
+        let freed = self.pool.release(f.req.id);
+        if f.prefix_bytes > 0 {
+            self.pool
+                .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
+            f.prefix_bytes = 0;
+        }
+        freed.resident_bytes
+    }
+
+    /// Grows `id`'s residency to the KV bytes of its first `tokens`
+    /// tokens — minus the `prefix_bytes` share the shared-prefix ledger
+    /// already holds — never past its peak reservation.
+    fn grow_to_tokens(&mut self, id: RequestId, tokens: usize, prefix_bytes: u64) {
+        let bytes = self.kv_bytes(tokens).saturating_sub(prefix_bytes);
+        let reserved = self
+            .pool
+            .reservation(id)
+            .expect("admitted request holds a reservation");
+        let target = bytes.min(reserved.reserved_bytes);
+        self.pool
+            .grow_resident(id, target.saturating_sub(reserved.resident_bytes));
     }
 
     /// Reserves `peak` bytes for candidate `id`, evicting strictly
@@ -1421,44 +1411,25 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 self.prefix_tally.reclaimed_bytes += bytes;
                 continue;
             };
-            let f = self.active.remove(victim);
-            let freed = self.pool.release(f.req.id);
-            if f.prefix_bytes > 0 {
-                // The victim's reference on its shared prefix drops with
-                // it; the entry itself stays resident (a warm cache line)
-                // and the resume path re-evaluates reuse against it.
-                self.pool
-                    .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
-            }
+            let mut f = self.active.remove(victim);
+            let resident_bytes = self.release(&mut f);
             self.tally.preemptions += 1;
             let swapped_bytes = match self.preempt.policy {
                 EvictionPolicy::None => unreachable!("victims require a policy"),
                 EvictionPolicy::DropRecompute => 0,
                 EvictionPolicy::Swap => {
-                    if freed.resident_bytes > 0 {
+                    if resident_bytes > 0 {
                         // Swap-out: spill the victim's KV to host memory,
                         // stalling the device for the transfer.
-                        let cycles = self.preempt.transfer_cycles(freed.resident_bytes);
-                        self.now += cycles;
-                        self.pool.advance_clock(self.now);
-                        self.tally.swap_cycles += cycles;
-                        self.swap_ledger.check_out(f.req.id, freed.resident_bytes);
+                        self.transfer_stall(resident_bytes);
+                        self.swap_ledger.check_out(f.req.id, resident_bytes);
                     }
-                    freed.resident_bytes
+                    resident_bytes
                 }
             };
             let victim_id = f.req.id;
-            self.suspended.push(Suspended {
-                prefill_done: f.prefill_done,
-                prefill_target: f.prefill_target,
-                replay_tokens: f.replay_tokens,
-                swapped_bytes,
-                req: f.req,
-                admitted_cycle: f.admitted_cycle,
-                tokens: f.tokens,
-                first_token_cycle: f.first_token_cycle,
-                preemptions: f.preemptions + 1,
-            });
+            f.preemptions += 1;
+            self.suspended.push(f);
             self.conc_log.push((self.now, -1));
             self.record(TraceEvent::Preempt {
                 device: self.device,
@@ -1490,8 +1461,6 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// failing loudly beats silently losing in-flight requests).
     pub(crate) fn step(&mut self, scheduler: &mut dyn Scheduler) -> usize {
         let step_start = self.now;
-        let keep = self.cost().template().attention_keep;
-        let model = self.cost().template().model.clone();
         let waiting: Vec<SchedEntry> = self
             .active
             .iter()
@@ -1629,33 +1598,21 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
             for &(id, _, upto, _) in &spans {
                 let f = lookup_mut(&mut self.active, id);
                 f.prefill_done = upto;
-                if f.prefilled() && f.req.decode_len == 0 && f.tokens == 0 {
-                    f.first_token_cycle = self.now; // prompt-only request
-                }
+                let (prefix_bytes, prefix) = (f.prefix_bytes, f.req.prefix);
                 // Residency grows per chunk: the KV bytes of the
-                // prefilled prefix — minus any share the shared-prefix
-                // ledger already holds — never past the peak reservation.
-                let prefix_bytes = f.prefix_bytes;
-                let reserved = self
-                    .pool
-                    .reservation(id)
-                    .expect("prefilling request holds a reservation");
-                let target = request_kv_bytes(&model, upto, keep)
-                    .saturating_sub(prefix_bytes)
-                    .min(reserved.reserved_bytes);
-                self.pool
-                    .grow_resident(id, target.saturating_sub(reserved.resident_bytes));
+                // prefilled prefix.
+                self.grow_to_tokens(id, upto, prefix_bytes);
                 // Crossing the declared prefix boundary materializes the
                 // shared prefix: its KV bytes move out of this request's
                 // reservation into the pool's refcounted prefix ledger
                 // (or, if another request got there first, the duplicate
                 // copy is shed back to the pool).
-                let f = lookup_mut(&mut self.active, id);
-                if let Some(p) = f.req.prefix {
-                    if p.tokens > 0 && f.prefix_bytes == 0 && upto >= p.tokens {
-                        let bytes = request_kv_bytes(&model, p.tokens, keep);
-                        f.prefix_bytes = self.pool.promote_prefix(id, p.id, p.tokens, bytes);
-                    }
+                let crossed =
+                    prefix.filter(|p| p.tokens > 0 && prefix_bytes == 0 && upto >= p.tokens);
+                if let Some(p) = crossed {
+                    let bytes = self.kv_bytes(p.tokens);
+                    lookup_mut(&mut self.active, id).prefix_bytes =
+                        self.pool.promote_prefix(id, p.id, p.tokens, bytes);
                 }
             }
         }
@@ -1664,23 +1621,14 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
         if !decode_ids.is_empty() {
             self.decode_invocations += 1;
             self.decode_streams += decode_ids.len() as u64;
-            for id in &decode_ids {
-                let f = lookup_mut(&mut self.active, *id);
+            for &id in &decode_ids {
+                let f = lookup_mut(&mut self.active, id);
                 f.tokens += 1;
                 if f.tokens == 1 {
                     f.first_token_cycle = self.now;
                 }
-                let context = f.context();
-                let prefix_bytes = f.prefix_bytes;
-                let reserved = self
-                    .pool
-                    .reservation(*id)
-                    .expect("decoding request holds a reservation");
-                let target = request_kv_bytes(&model, context, keep)
-                    .saturating_sub(prefix_bytes)
-                    .min(reserved.reserved_bytes);
-                self.pool
-                    .grow_resident(*id, target.saturating_sub(reserved.resident_bytes));
+                let (context, prefix_bytes) = (f.context(), f.prefix_bytes);
+                self.grow_to_tokens(id, context, prefix_bytes);
             }
         }
 
@@ -1696,23 +1644,10 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
                 i += 1;
                 continue;
             }
-            let f = self.active.remove(i);
-            self.pool.release(f.req.id);
-            if f.prefix_bytes > 0 {
-                // Completion drops the reference; the prefix entry stays
-                // resident as a warm cache line for future arrivals.
-                self.pool
-                    .unref_prefix(f.req.prefix.expect("prefix bytes imply a prefix").id);
-            }
-            self.records.push(RequestRecord {
-                state: RequestState::Completed,
-                admitted_cycle: f.admitted_cycle,
-                first_token_cycle: f.first_token_cycle,
-                completed_cycle: self.now,
-                tokens: f.tokens,
-                preemptions: f.preemptions,
-                request: f.req,
-            });
+            let mut f = self.active.remove(i);
+            self.release(&mut f);
+            self.records
+                .push(f.into_record(RequestState::Completed, self.now));
             self.conc_log.push((self.now, -1));
             completions += 1;
         }
@@ -2353,6 +2288,42 @@ mod tests {
             )
             .expect("closed-loop slots are valid");
         assert_eq!(report.completed, 3);
+    }
+
+    /// An empty prompt has nothing to prefill: alone it used to panic the
+    /// step loop with an idle plan, and next to other traffic it
+    /// "completed" with a zero TTFT and no tokens. Every entry point must
+    /// reject it with a typed error.
+    #[test]
+    fn empty_prompts_are_rejected_with_a_typed_error() {
+        let accel = Toy;
+        let sim = ServeSim::new(&accel, template(0.3), ServeConfig::default());
+        let mut mk = || -> Box<dyn Scheduler> { Box::new(PriorityScheduler::new()) };
+        let empty = |id| Request::from_task(id, &Task::cola().with_prompt(0).with_decode(0), 0.0);
+        let lone = Workload {
+            requests: vec![empty(0)],
+            closed_loop: None,
+        };
+        let mixed = Workload {
+            requests: vec![Request::from_task(0, &Task::cola(), 0.0), empty(1)],
+            closed_loop: None,
+        };
+        for (w, request) in [(lone, 0), (mixed, 1)] {
+            let rejected = Err(ServeConfigError::EmptyPrompt { request });
+            assert_eq!(ServeSim::validate_workload(&w), rejected);
+            let mut router = DispatchPolicy::RoundRobin.router();
+            let fleet = [DeviceProfile::uniform()];
+            let run = sim.try_run_fleet_with_router(&w, &fleet, &mut router, &mut mk);
+            assert_eq!(run.err(), rejected.err());
+            let single = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run(&w, &mut PriorityScheduler::new())
+            }));
+            let msg = single.expect_err("a single-device run must refuse");
+            let msg = msg
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains("empty prompt"), "{msg}");
+        }
     }
 
     #[test]
