@@ -367,8 +367,8 @@ pub(crate) struct InFlight {
 }
 
 impl InFlight {
-    /// A prompt admitted at `now` for the first time, its cursor at the
-    /// start of the prompt.
+    /// A queued prompt leaving the queue at `now` (admitted, or dropped
+    /// as unservable), its cursor at the start of the prompt.
     fn fresh(req: Request, now: f64) -> Self {
         InFlight {
             admitted_cycle: now,
