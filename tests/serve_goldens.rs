@@ -5,18 +5,21 @@
 //! fleet) and three eviction policies (none, drop-and-recompute, swap),
 //! plus two targeted runs that reach admission branches the table does
 //! not: a handoff dropped on arrival, and a swap victim resuming after
-//! its shared prefix was reclaimed. A refactor of the serving layer must
-//! leave every digest unchanged; a deliberate behaviour change must
-//! update the table and say why.
+//! its shared prefix was reclaimed. Nine more runs pin the coalescing
+//! planner beyond the unbudgeted priority scheduler: continuous batching
+//! with and without a step token budget, and the budgeted priority
+//! scheduler, over the three fleet shapes. A refactor of the serving
+//! layer must leave every digest unchanged; a deliberate behaviour
+//! change must update the table and say why.
 //!
-//! A toy accelerator keeps the 47 runs cheap. On a mismatch the test
+//! A toy accelerator keeps the 56 runs cheap. On a mismatch the test
 //! prints the full recomputed table.
 
 use mcbp::model::LlmConfig;
 use mcbp::serve::{
-    request_kv_bytes, DeviceProfile, DeviceRole, DispatchPolicy, PreemptConfig, Priority,
-    PriorityScheduler, Request, RequestId, RunTrace, Scheduler, ServeConfig, ServeReport, ServeSim,
-    SharedPrefix, SloSpec, Workload,
+    request_kv_bytes, ContinuousBatchScheduler, DeviceProfile, DeviceRole, DispatchPolicy,
+    PreemptConfig, Priority, PriorityScheduler, Request, RequestId, RunTrace, Scheduler,
+    ServeConfig, ServeReport, ServeSim, SharedPrefix, SloSpec, Workload,
 };
 use mcbp::workloads::{
     Accelerator, PhaseCost, RunReport, SparsityProfile, Task, TraceContext, WeightGenerator,
@@ -92,15 +95,56 @@ fn workload() -> Workload {
     }
 }
 
-/// A simulator whose per-device pool holds about 100 tokens of KV.
-fn sim(accel: &Toy, preempt: PreemptConfig) -> ServeSim<'_> {
+/// A simulator under `cfg` whose per-device pool holds about 100 tokens
+/// of KV.
+fn sim_with(accel: &Toy, cfg: ServeConfig) -> ServeSim<'_> {
     let template = template();
     let cfg = ServeConfig {
         kv_budget_bytes: Some(template.model.kv_cache_bytes(100, 1)),
-        preempt,
-        ..ServeConfig::default()
+        ..cfg
     };
     ServeSim::try_new(accel, template, cfg).expect("valid config")
+}
+
+/// The default configuration on the 100-token pool, under `preempt`.
+fn sim(accel: &Toy, preempt: PreemptConfig) -> ServeSim<'_> {
+    sim_with(
+        accel,
+        ServeConfig {
+            preempt,
+            ..ServeConfig::default()
+        },
+    )
+}
+
+/// A scheduler setup of the planner rows: label, configuration, and the
+/// per-device scheduler factory.
+type PlannerSetup = (&'static str, ServeConfig, fn() -> Box<dyn Scheduler>);
+
+/// The planner rows' setups, all at width 3 under drop-and-recompute:
+/// continuous batching with the default chunking and no budget, then
+/// continuous batching and the priority scheduler planning budgeted mixed
+/// steps (32-token chunks under a 64-token step budget).
+fn planner_setups() -> [PlannerSetup; 3] {
+    let base = ServeConfig {
+        max_batch: 3,
+        preempt: PreemptConfig::drop_recompute(),
+        ..ServeConfig::default()
+    };
+    let budgeted = ServeConfig {
+        prefill_chunk: Some(32),
+        step_token_budget: Some(64),
+        ..base.clone()
+    };
+    [
+        ("cb", base, || Box::new(ContinuousBatchScheduler::new())),
+        ("cb-budget", budgeted.clone(), || {
+            Box::new(ContinuousBatchScheduler::new())
+        }),
+        ("priority-budget", budgeted, || {
+            Box::new(PriorityScheduler::new())
+        }),
+    ]
 }
 
 fn shapes() -> [(&'static str, Vec<DeviceProfile<'static>>); 3] {
@@ -224,6 +268,20 @@ fn digests() -> Vec<(String, u64, u64)> {
         let (report, trace) = run_targeted(case);
         out.push(digest(label.to_owned(), &report, &trace));
     }
+    for (shape, profiles) in shapes() {
+        for (sched, cfg, make) in planner_setups() {
+            let sim = sim_with(&accel, cfg);
+            let mut mk = || make();
+            let (report, trace) = sim.run_fleet_profiles_traced(
+                &workload,
+                &profiles,
+                DispatchPolicy::RoundRobin,
+                &mut mk,
+            );
+            assert_eq!(report.completed + report.dropped, workload.requests.len());
+            out.push(digest(format!("{shape}/rr/drop/{sched}"), &report, &trace));
+        }
+    }
     out
 }
 
@@ -327,6 +385,43 @@ const GOLDENS: &[(&str, u64, u64)] = &[
         0x059fd21eced4db82,
         0x15b15460dc3addca,
     ),
+    ("1x/rr/drop/cb", 0xc6122221c6b4b2cc, 0xbc9335a4459bc8c8),
+    (
+        "1x/rr/drop/cb-budget",
+        0x8da562df3742d170,
+        0x9e173b28cd46b9f7,
+    ),
+    (
+        "1x/rr/drop/priority-budget",
+        0x2dfbed7dd6c29ee2,
+        0x814b0c2659d1ebff,
+    ),
+    (
+        "4x-unified/rr/drop/cb",
+        0xb47cfd7adecfd11e,
+        0x9032ea8286305636,
+    ),
+    (
+        "4x-unified/rr/drop/cb-budget",
+        0xfac614bd6f79fb91,
+        0xbddea0d7fdac911b,
+    ),
+    (
+        "4x-unified/rr/drop/priority-budget",
+        0x6f91baecd0c43011,
+        0x9ef139c726351fd5,
+    ),
+    ("ppdu/rr/drop/cb", 0x5c62ca2ad699bcd7, 0x5b190862d891b1d0),
+    (
+        "ppdu/rr/drop/cb-budget",
+        0x702edf48accbdd6a,
+        0x3a6c2f82c56361c3,
+    ),
+    (
+        "ppdu/rr/drop/priority-budget",
+        0x11ec3cf6ca0475f2,
+        0x55f9e94a2bc043dc,
+    ),
 ];
 
 #[test]
@@ -348,8 +443,9 @@ fn fleet_runs_match_their_golden_digests() {
 }
 
 /// The goldens exercise what they claim to: drop-and-recompute evicts,
-/// swap really swaps, the split fleet hands requests off, and the two
-/// targeted runs reach their branches.
+/// swap really swaps, the split fleet hands requests off, the two
+/// targeted runs reach their branches, and every budgeted planner row
+/// plans mixed steps.
 #[test]
 fn golden_runs_preempt_and_hand_off() {
     let accel = Toy;
@@ -388,4 +484,18 @@ fn golden_runs_preempt_and_hand_off() {
     assert!(report.preempt.swap_out_bytes > 0);
     assert_eq!(report.preempt.swap_out_bytes, report.preempt.swap_in_bytes);
     assert!(report.preempt.recompute_seconds > 0.0);
+
+    // Budgeted planner rows: chunks and decodes share invocations.
+    for (shape, profiles) in shapes() {
+        for (sched, cfg, make) in planner_setups() {
+            if cfg.step_token_budget.is_none() {
+                continue;
+            }
+            let sim = sim_with(&accel, cfg);
+            let mut mk = || make();
+            let report =
+                sim.run_fleet_profiles(&workload(), &profiles, DispatchPolicy::RoundRobin, &mut mk);
+            assert!(report.steps.mixed_steps > 0, "{shape}/{sched} mixes");
+        }
+    }
 }
