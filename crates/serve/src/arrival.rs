@@ -119,12 +119,6 @@ impl Workload {
         }
         Some(self.requests.len() as f64 / (last / CLOCK_HZ))
     }
-
-    /// Total tokens the trace asks to decode.
-    #[must_use]
-    pub fn total_decode_tokens(&self) -> usize {
-        self.requests.iter().map(|r| r.decode_len).sum()
-    }
 }
 
 /// Builds deterministic request traces from a task mix and an arrival

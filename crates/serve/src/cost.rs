@@ -28,9 +28,8 @@
 //! chunk it does not pay it again. So
 //!
 //! ```text
-//! mixed_step_cost(chunk, decode)
-//!   = prefill_chunk_cost(chunk)            // includes one weight stream
-//!   + decode_cost(decode) − decode_floor   // per-stream work only
+//! mixed step = prefill_chunk_cost(chunk)            // includes one weight stream
+//!            + decode_cost(decode) − decode_floor   // per-stream work only
 //! ```
 //!
 //! where the *decode floor* — the cost a decode invocation pays
@@ -47,7 +46,8 @@
 //! costed at least as high as its chunk alone and strictly below the
 //! chunk-step-plus-decode-step pair it replaces — that gap (one decode
 //! floor per step) is exactly what Sarathi-style piggybacking harvests.
-//! Both terms reuse the bucket interpolation above; the model is
+//! The simulator costs the two terms separately, each fleet-scaled, and
+//! sums them. Both terms reuse the bucket interpolation above; the model is
 //! exercised end-to-end in `tests/step_cost_bucketing.rs` and the
 //! mixed-step serving tests.
 
@@ -243,39 +243,12 @@ impl<'a> StepCostModel<'a> {
     /// mean context `context`) onto an invocation that already streams
     /// the layer weights: the standalone decode cost minus the decode
     /// floor, clamped at zero. This is the decode share of a budgeted
-    /// mixed step (see the module docs and
-    /// [`StepCostModel::mixed_step_cost`]).
+    /// mixed step, added to the chunk's
+    /// [`StepCostModel::prefill_chunk_cost`] (see the module docs).
     #[must_use]
     pub fn piggyback_decode_cost(&self, context: usize, batch: usize) -> StepCost {
         self.decode_cost(context, batch)
             .saturating_sub(self.decode_floor(context))
-    }
-
-    /// Cost of one budgeted **mixed step**: a chunked-prefill invocation
-    /// advancing `prefill_batch` prompts from `done` to `upto` prefilled
-    /// tokens, with `decode_batch` decode streams (mean context
-    /// `decode_context`) piggybacked onto its weight stream — the chunk
-    /// cost plus the incremental piggybacked-decode cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `upto > done` (an empty chunk is a scheduling bug);
-    /// a step with no chunk is a plain decode step, costed by
-    /// [`StepCostModel::decode_cost`].
-    #[must_use]
-    pub fn mixed_step_cost(
-        &self,
-        done: usize,
-        upto: usize,
-        prefill_batch: usize,
-        decode_context: usize,
-        decode_batch: usize,
-    ) -> StepCost {
-        let chunk = self.prefill_chunk_cost(done, upto, prefill_batch);
-        if decode_batch == 0 {
-            return chunk;
-        }
-        chunk.add(self.piggyback_decode_cost(decode_context, decode_batch))
     }
 
     /// Interpolated cost at `context`: exact at bucket boundaries, the
@@ -489,16 +462,16 @@ mod tests {
 
     #[test]
     fn mixed_step_cost_is_chunk_plus_incremental_decode() {
+        // The simulator costs a mixed step as its chunk plus the piggyback
+        // share: the standalone decode cost minus the 1000-cycle weight
+        // stream the chunk already pays.
         let accel = Linear;
         let model = StepCostModel::new(&accel, template(), 64);
         let chunk = model.prefill_chunk_cost(128, 192, 2);
-        let piggy = model.piggyback_decode_cost(300, 4);
-        let mixed = model.mixed_step_cost(128, 192, 2, 300, 4);
-        assert!((mixed.cycles - (chunk.cycles + piggy.cycles)).abs() < 1e-9);
-        assert!((mixed.energy_pj - (chunk.energy_pj + piggy.energy_pj)).abs() < 1e-9);
-        // Degenerate cases: no decodes → the chunk alone.
-        let bare = model.mixed_step_cost(128, 192, 2, 300, 0);
-        assert!((bare.cycles - chunk.cycles).abs() < 1e-12);
+        let mixed = chunk.add(model.piggyback_decode_cost(300, 4));
+        let decode = model.decode_cost(300, 4);
+        assert!((mixed.cycles - (chunk.cycles + decode.cycles - 1000.0)).abs() < 1e-6);
+        assert!(mixed.cycles > chunk.cycles);
     }
 
     #[test]
@@ -508,7 +481,10 @@ mod tests {
         // the gap is exactly the decode invocation's weight-stream floor.
         let accel = Linear;
         let model = StepCostModel::new(&accel, template(), 64);
-        let mixed = model.mixed_step_cost(512, 1024, 1, 640, 6).cycles;
+        let mixed = model
+            .prefill_chunk_cost(512, 1024, 1)
+            .add(model.piggyback_decode_cost(640, 6))
+            .cycles;
         let pair = model.prefill_chunk_cost(512, 1024, 1).cycles + model.decode_cost(640, 6).cycles;
         assert!(mixed < pair, "mixed {mixed} vs alternating pair {pair}");
         assert!(

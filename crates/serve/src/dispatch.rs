@@ -106,8 +106,7 @@ use crate::arrival::Workload;
 use crate::profile::{DeviceProfile, DeviceRole};
 use crate::record::{merge_event_logs, RunTrace, TraceEvent};
 use crate::report::{
-    DeviceReport, HandoffReport, PoolReport, PreemptReport, PrefixReport, RunTotals, ServeReport,
-    StepReport,
+    DeviceReport, HandoffReport, PoolReport, PreemptReport, PrefixReport, ServeReport, StepReport,
 };
 use crate::request::{PrefixId, Request, SharedPrefix};
 use crate::scheduler::Scheduler;
@@ -905,23 +904,19 @@ fn merge_fleet(
     } else {
         decode_streams as f64 / decode_invocations as f64
     };
-    let report = ServeReport::summarize(
-        name,
-        records,
-        RunTotals {
-            duration_cycles,
-            mean_decode_batch,
-            peak_concurrency,
-            energy_pj,
-            offered_rps: workload.offered_rps(),
-            preempt,
-            handoff,
-            steps,
-            prefix,
-        },
+    let report = ServeReport {
+        offered_rps: workload.offered_rps(),
+        mean_decode_batch,
+        peak_concurrency,
+        energy_joules: energy_pj * 1e-12,
         pool,
-        lanes,
-    );
+        preempt,
+        handoff,
+        steps,
+        prefix,
+        devices: lanes,
+        ..ServeReport::summarize(name, records, duration_cycles)
+    };
     let run_trace = trace.then(|| {
         // Merge the route log and the per-device logs (each individually
         // in emission order) by the explicit `(cycle, device, kind, seq)`

@@ -62,7 +62,7 @@
 //! prefill chunk (Sarathi-style piggybacking). Decode streams keep
 //! advancing *every* step while a long prompt prefills — and the
 //! piggybacked tokens ride the chunk's weight stream, paying only their
-//! incremental cost ([`StepCostModel::mixed_step_cost`]). The
+//! incremental cost ([`StepCostModel::piggyback_decode_cost`]). The
 //! [`PriorityScheduler`] additionally protects TTFT: an interactive
 //! stream's pending first token wins a short decode-only step over a
 //! batch-class chunk, so the mixed-step TPOT gain never costs the
@@ -207,7 +207,7 @@ pub use preempt::{CustodyLedger, EvictionPolicy, PreemptConfig, HOST_LINK_RATIO}
 pub use profile::{DeviceProfile, DeviceRole};
 pub use record::{RunTrace, TraceEvent};
 pub use report::{
-    DeviceReport, HandoffReport, LatencyStats, PoolReport, PreemptReport, PrefixReport, RunTotals,
+    DeviceReport, HandoffReport, LatencyStats, PoolReport, PreemptReport, PrefixReport,
     ServeReport, StepReport,
 };
 pub use request::{

@@ -452,50 +452,14 @@ pub struct ServeReport {
     pub records: Vec<RequestRecord>,
 }
 
-/// Raw run counters the simulator hands to [`ServeReport::summarize`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunTotals {
-    /// Simulated duration in cycles.
-    pub duration_cycles: f64,
-    /// Mean decode-streams coalesced per batched decode invocation.
-    pub mean_decode_batch: f64,
-    /// Peak in-flight concurrency.
-    pub peak_concurrency: usize,
-    /// Total accelerator energy in pJ.
-    pub energy_pj: f64,
-    /// Offered arrival rate (open-loop traces only).
-    pub offered_rps: Option<f64>,
-    /// Preemption/eviction statistics.
-    pub preempt: PreemptReport,
-    /// Prefill→decode handoff statistics.
-    pub handoff: HandoffReport,
-    /// Per-step composition statistics.
-    pub steps: StepReport,
-    /// Prefix-cache statistics.
-    pub prefix: PrefixReport,
-}
-
 impl ServeReport {
-    /// Builds the latency/goodput aggregates from per-request records.
+    /// Builds the record-derived aggregates of a run that lasted
+    /// `duration_cycles`: completion and drop counts, latency stats,
+    /// goodput, SLO counts and throughput. Every lane aggregate (devices,
+    /// pool, preempt, handoff, steps, prefix, peak concurrency, mean decode
+    /// batch, energy and offered load) starts empty; the caller sets them.
     #[must_use]
-    pub fn summarize(
-        scheduler: String,
-        records: Vec<RequestRecord>,
-        totals: RunTotals,
-        pool: PoolReport,
-        devices: Vec<DeviceReport>,
-    ) -> Self {
-        let RunTotals {
-            duration_cycles,
-            mean_decode_batch,
-            peak_concurrency,
-            energy_pj,
-            offered_rps,
-            preempt,
-            handoff,
-            steps,
-            prefix,
-        } = totals;
+    pub fn summarize(scheduler: String, records: Vec<RequestRecord>, duration_cycles: f64) -> Self {
         let completed: Vec<&RequestRecord> = records.iter().filter(|r| r.completed()).collect();
         let slo_met = completed.iter().filter(|r| r.slo_met()).count();
         let slo_tokens: usize = completed
@@ -534,16 +498,16 @@ impl ServeReport {
             slo_met,
             slo_goodput_tokens_per_s: slo_tokens as f64 / span,
             throughput_rps: completed.len() as f64 / span,
-            offered_rps,
-            mean_decode_batch,
-            peak_concurrency,
-            energy_joules: energy_pj * 1e-12,
-            pool,
-            preempt,
-            handoff,
-            steps,
-            prefix,
-            devices,
+            offered_rps: None,
+            mean_decode_batch: 0.0,
+            peak_concurrency: 0,
+            energy_joules: 0.0,
+            pool: PoolReport::default(),
+            preempt: PreemptReport::default(),
+            handoff: HandoffReport::default(),
+            steps: StepReport::default(),
+            prefix: PrefixReport::default(),
+            devices: Vec::new(),
             records,
         }
     }
@@ -910,23 +874,7 @@ mod tests {
             tokens: 4,
             preemptions: 0,
         };
-        let report = ServeReport::summarize(
-            "test \"sched\"".to_string(),
-            vec![record],
-            RunTotals {
-                duration_cycles: 30.0,
-                mean_decode_batch: 1.0,
-                peak_concurrency: 1,
-                energy_pj: 5.0,
-                offered_rps: None,
-                preempt: PreemptReport::default(),
-                handoff: HandoffReport::default(),
-                steps: StepReport::default(),
-                prefix: PrefixReport::default(),
-            },
-            PoolReport::default(),
-            vec![],
-        );
+        let report = ServeReport::summarize("test \"sched\"".to_string(), vec![record], 30.0);
         let json = report.to_json();
         assert!(json_ok(&json), "malformed JSON: {json}");
         assert!(json.contains("\"arrival_cycle\":null"), "{json}");

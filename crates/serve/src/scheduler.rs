@@ -2,16 +2,18 @@
 //!
 //! Every scheduler implements one decision: given the admitted requests
 //! awaiting prefill and the streams mid-decode ([`SchedView`]), what does
-//! the next accelerator invocation coalesce ([`StepPlan`])? Three
-//! implementations ladder up the serving literature:
+//! the next accelerator invocation coalesce ([`StepPlan`])? Two planners
+//! ladder up the serving literature:
 //!
 //! * [`FcfsScheduler`] — run-to-completion, batch 1: the static-serving
 //!   baseline that forfeits weight-stream amortization.
-//! * [`ContinuousBatchScheduler`] — Orca-style iteration-level
-//!   scheduling: decode streams coalesce up to `max_batch` wide and new
-//!   prompts join at tick boundaries.
-//! * [`PriorityScheduler`] — the same coalescing, but the interactive
+//! * One coalescing planner, Orca-style iteration-level scheduling:
+//!   decode streams coalesce up to `max_batch` wide and new prompts join
+//!   at tick boundaries. It takes a class function, and the interactive
 //!   class wins spare width and is never displaced by batch-class work.
+//!   [`PriorityScheduler`] runs it over each request's [`Priority`];
+//!   [`ContinuousBatchScheduler`] is the one-class case, with every
+//!   request in the batch class, not a separate implementation.
 //!
 //! **Chunked prefill.** A waiting prefill carries a cursor
 //! ([`SchedEntry::done`]): the simulator advances it by at most
@@ -30,10 +32,10 @@
 //! (they are the latency-critical members and must never be displaced by
 //! a second prefill stream), and additional matching prompts join the
 //! chunk batch only with what remains — so decode streams keep advancing
-//! every step while a long prompt prefills. [`PriorityScheduler`] adds
-//! **TTFT protection** on top: an interactive stream's pending *first*
-//! token wins a short decode-only step over a batch-class chunk. With
-//! `step_token_budget = None` the same schedulers fall back to the
+//! every step while a long prompt prefills. With two classes the planner
+//! adds **TTFT protection** on top: an interactive stream's pending
+//! *first* token wins a short decode-only step over a batch-class chunk.
+//! With `step_token_budget = None` the same schedulers fall back to the
 //! pre-budget behavior — strictly phase-alternating prefill/decode steps
 //! — which is kept bit-exact as the ablation baseline (see the
 //! `step_budget_properties` equivalence test).
@@ -117,7 +119,7 @@ pub struct SchedView<'a> {
 /// (silently stalling would lose in-flight requests). A plan with both
 /// lists non-empty is a **mixed step**: the chunk and the piggybacked
 /// decode tokens share one invocation (and one weight stream — see
-/// [`crate::StepCostModel::mixed_step_cost`]).
+/// [`crate::StepCostModel::piggyback_decode_cost`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepPlan {
     /// Admitted prompts whose next chunk this invocation advances.
@@ -264,13 +266,11 @@ impl Scheduler for FcfsScheduler {
 /// [`SchedView::step_token_budget`] set it plans **mixed steps** instead:
 /// the head prompt's chunk is selected first, then decode streams
 /// piggyback into the leftover budget and width — decoding advances
-/// *every* step while the prompt prefills. Priority classes are ignored
-/// (see [`PriorityScheduler`] for the class-aware variant).
+/// *every* step while the prompt prefills. Priority classes are ignored:
+/// this is the [`PriorityScheduler`]'s planner with every request in one
+/// class.
 #[derive(Debug, Clone, Default)]
-pub struct ContinuousBatchScheduler {
-    rotate: usize,
-    last_was_prefill: bool,
-}
+pub struct ContinuousBatchScheduler(Coalescer);
 
 impl ContinuousBatchScheduler {
     /// A fresh continuous-batching scheduler.
@@ -286,112 +286,8 @@ impl Scheduler for ContinuousBatchScheduler {
     }
 
     fn plan(&mut self, view: &SchedView<'_>) -> StepPlan {
-        let width = view.max_batch.max(1);
-        if let Some(budget) = view.step_token_budget {
-            // Budgeted mixed step: one chunk stream is guaranteed, decode
-            // streams piggyback into the leftover budget and width, and
-            // only then do more matching prompts join the chunk batch.
-            if let Some(&lead) = view.waiting_prefill.first() {
-                let (prefill, decode_take) = budgeted_composition(
-                    view.waiting_prefill,
-                    |e| e.len == lead.len && e.done == lead.done,
-                    lead.chunk_tokens(view.prefill_chunk),
-                    view.decoding.len(),
-                    width,
-                    budget,
-                );
-                let decode = rotate_take(&mut self.rotate, view.decoding, decode_take);
-                return StepPlan::mixed(prefill, decode);
-            }
-            return StepPlan::decode(rotate_take(
-                &mut self.rotate,
-                view.decoding,
-                width.min(budget),
-            ));
-        }
-        let wants_prefill = !view.waiting_prefill.is_empty() && view.decoding.len() < width;
-        // Unbudgeted: alternate prefill chunks with decode steps when both
-        // are runnable (decode streams must not starve behind a chunked
-        // long prompt); prefill unconditionally when nothing is decoding.
-        if wants_prefill && (view.decoding.is_empty() || !self.last_was_prefill) {
-            self.last_was_prefill = true;
-            let spare = width - view.decoding.len();
-            // Batch only prompts matching the queue head's (length,
-            // cursor) so one invocation advances every selected prompt by
-            // the same chunk and its cost is well-defined.
-            let lead = view.waiting_prefill[0];
-            let ids: Vec<RequestId> = view
-                .waiting_prefill
-                .iter()
-                .filter(|e| e.len == lead.len && e.done == lead.done)
-                .take(spare)
-                .map(|e| e.id)
-                .collect();
-            return StepPlan::prefill(ids);
-        }
-        self.last_was_prefill = false;
-        if view.decoding.is_empty() {
-            return StepPlan::idle();
-        }
-        StepPlan::decode(rotate_take(&mut self.rotate, view.decoding, width))
+        self.0.plan(view, |_| Priority::Batch)
     }
-}
-
-/// Composes one budgeted mixed step over the prefills matching `matches`
-/// (the lead's batching key). The allocation order encodes the
-/// Sarathi-style priorities:
-///
-/// 1. **One chunk stream is guaranteed** — prefill must progress every
-///    step, or waiting prompts would starve behind a saturated decode
-///    pool. Config validation guarantees the chunk fits the budget
-///    (`chunk ≤ budget`, and budgeting requires chunked prefill).
-/// 2. **Decode streams claim the leftover budget and width next** — they
-///    are the latency-critical members; a second prefill stream must
-///    never displace a decode token (greedy prefill packing would stall
-///    every decode stream for the whole prefill, which is exactly the
-///    alternation pathology the budget exists to fix).
-/// 3. **Additional matching prompts** join the chunk batch only with the
-///    budget and width left after the decodes.
-///
-/// Returns the selected prefill ids and how many decode tokens the step
-/// may carry.
-fn budgeted_composition(
-    waiting: &[SchedEntry],
-    matches: impl Fn(&SchedEntry) -> bool,
-    chunk_tokens: usize,
-    decoding_len: usize,
-    width: usize,
-    budget: usize,
-) -> (Vec<RequestId>, usize) {
-    let chunk_tokens = chunk_tokens.max(1);
-    let decode_take = decoding_len
-        .min(width.saturating_sub(1))
-        .min(budget.saturating_sub(chunk_tokens));
-    let spare_budget = budget.saturating_sub(chunk_tokens + decode_take);
-    let extra = (spare_budget / chunk_tokens).min(width.saturating_sub(1 + decode_take));
-    let ids: Vec<RequestId> = waiting
-        .iter()
-        .filter(|e| matches(e))
-        .take(1 + extra)
-        .map(|e| e.id)
-        .collect();
-    (ids, decode_take)
-}
-
-/// Takes up to `take` ids from `list` starting at a rotating offset
-/// (identity when the list fits entirely), advancing the rotation counter.
-/// The rotating window is how both coalescing schedulers round-robin an
-/// oversubscribed pool fairly instead of starving the tail of the
-/// admission order.
-fn rotate_take(rotate: &mut usize, list: &[SchedEntry], take: usize) -> Vec<RequestId> {
-    let n = list.len();
-    if n == 0 || take == 0 {
-        return Vec::new();
-    }
-    let take = take.min(n);
-    let start = if n > take { *rotate % n } else { 0 };
-    *rotate = rotate.wrapping_add(take);
-    (0..take).map(|i| list[(start + i) % n].id).collect()
 }
 
 /// Priority-aware continuous batching: the same iteration-level coalescing
@@ -408,11 +304,7 @@ fn rotate_take(rotate: &mut usize, list: &[SchedEntry], take: usize) -> Vec<Requ
 /// driven by [`crate::PreemptConfig`]; this scheduler decides only what
 /// each accelerator invocation coalesces.)
 #[derive(Debug, Clone, Default)]
-pub struct PriorityScheduler {
-    rotate_interactive: usize,
-    rotate_batch: usize,
-    last_was_prefill: bool,
-}
+pub struct PriorityScheduler(Coalescer);
 
 impl PriorityScheduler {
     /// A fresh priority scheduler.
@@ -420,36 +312,6 @@ impl PriorityScheduler {
     pub fn new() -> Self {
         PriorityScheduler::default()
     }
-
-    /// Fills up to `take` decode slots interactive-first, padding with
-    /// batch-class streams; each class rotates round-robin.
-    fn take_decodes(&mut self, decoding: &[SchedEntry], take: usize) -> Vec<RequestId> {
-        let interactive: Vec<SchedEntry> = decoding
-            .iter()
-            .filter(|e| e.priority == Priority::Interactive)
-            .copied()
-            .collect();
-        let background: Vec<SchedEntry> = decoding
-            .iter()
-            .filter(|e| e.priority == Priority::Batch)
-            .copied()
-            .collect();
-        let mut ids = rotate_take(&mut self.rotate_interactive, &interactive, take);
-        let spare = take - ids.len();
-        ids.extend(rotate_take(&mut self.rotate_batch, &background, spare));
-        ids
-    }
-}
-
-/// The highest-class waiting prefill and its batching key: the class
-/// lead's `(priority, len, done)` so one invocation advances every
-/// selected prompt by the same chunk.
-fn priority_lead(waiting: &[SchedEntry]) -> SchedEntry {
-    let best = waiting.iter().map(|e| e.priority).max().expect("non-empty");
-    *waiting
-        .iter()
-        .find(|e| e.priority == best)
-        .expect("class present")
 }
 
 impl Scheduler for PriorityScheduler {
@@ -458,66 +320,155 @@ impl Scheduler for PriorityScheduler {
     }
 
     fn plan(&mut self, view: &SchedView<'_>) -> StepPlan {
+        self.0.plan(view, |e| e.priority)
+    }
+}
+
+/// The coalescing planner both [`ContinuousBatchScheduler`] and
+/// [`PriorityScheduler`] run, over a class function that maps each entry
+/// to its scheduling class (continuous batching puts every entry in one
+/// class). Its state is one rotating decode window per class and the
+/// unbudgeted alternation bit.
+#[derive(Debug, Clone, Default)]
+struct Coalescer {
+    rotate_interactive: usize,
+    rotate_batch: usize,
+    last_was_prefill: bool,
+}
+
+impl Coalescer {
+    /// Plans the next step. The *lead* is the first waiting prompt of the
+    /// highest waiting class, and prompts batch only with the lead's
+    /// `(class, len, done)`, so one invocation advances every selected
+    /// prompt by the same chunk and its cost is well-defined. Decode slots
+    /// go to the interactive class first.
+    ///
+    /// With a step token budget, a mixed step is allocated in the
+    /// Sarathi-style order:
+    ///
+    /// 1. **One chunk stream is guaranteed** — prefill must progress every
+    ///    step, or waiting prompts would starve behind a saturated decode
+    ///    pool. Config validation guarantees the chunk fits the budget
+    ///    (`chunk ≤ budget`, and budgeting requires chunked prefill).
+    /// 2. **Decode streams claim the leftover budget and width next** — they
+    ///    are the latency-critical members; a second prefill stream must
+    ///    never displace a decode token (greedy prefill packing would stall
+    ///    every decode stream for the whole prefill, which is exactly the
+    ///    alternation pathology the budget exists to fix).
+    /// 3. **Additional matching prompts** join the chunk batch only with the
+    ///    budget and width left after the decodes.
+    ///
+    /// One exception — **TTFT protection**: when an interactive stream's
+    /// first token is pending and the lead is batch-class, that token must
+    /// not wait out a chunk-length mixed step (it would erase the TTFT win
+    /// chunked prefill bought); it gets a short decode-only step and the
+    /// batch chunk resumes immediately after. An interactive lead still
+    /// outranks it: the waiting prompt's own TTFT is on that chunk.
+    ///
+    /// Without a budget, pure prefill and pure decode steps alternate when
+    /// both are runnable (decode streams must not starve behind a chunked
+    /// long prompt); prompts prefill back to back when nothing is
+    /// decoding.
+    fn plan(&mut self, view: &SchedView<'_>, class: impl Fn(&SchedEntry) -> Priority) -> StepPlan {
         let width = view.max_batch.max(1);
+        let waiting = view.waiting_prefill;
+        // The lead with its class, and up to `take` prompts batching with it.
+        let lead = || {
+            let best = waiting.iter().map(&class).max()?;
+            waiting
+                .iter()
+                .find(|e| class(e) == best)
+                .map(|e| (best, *e))
+        };
+        let batch = |(best, lead): (Priority, SchedEntry), take| -> Vec<RequestId> {
+            waiting
+                .iter()
+                .filter(|e| class(e) == best && e.len == lead.len && e.done == lead.done)
+                .take(take)
+                .map(|e| e.id)
+                .collect()
+        };
         if let Some(budget) = view.step_token_budget {
-            // Budgeted mixed step, class-aware: the highest waiting
-            // class's chunk is the guaranteed stream, and interactive
-            // decode streams claim the piggyback slots before batch-class
-            // streams. One exception — **TTFT protection**: when an
-            // interactive stream's first token is pending and the waiting
-            // chunk is batch-class, that token must not wait out a
-            // chunk-length mixed step (it would erase the TTFT win
-            // chunked prefill bought); it gets a short decode-only step
-            // and the batch chunk resumes immediately after. An
-            // interactive chunk still outranks it: the waiting prompt's
-            // own TTFT is on that chunk.
-            if !view.waiting_prefill.is_empty() {
-                let lead = priority_lead(view.waiting_prefill);
+            if let Some((best, entry)) = lead() {
                 let ttft_pending = view
                     .decoding
                     .iter()
-                    .any(|e| e.priority == Priority::Interactive && e.generated == 0);
-                if !(ttft_pending && lead.priority < Priority::Interactive) {
-                    let (prefill, decode_take) = budgeted_composition(
-                        view.waiting_prefill,
-                        |e| e.priority == lead.priority && e.len == lead.len && e.done == lead.done,
-                        lead.chunk_tokens(view.prefill_chunk),
-                        view.decoding.len(),
-                        width,
-                        budget,
-                    );
-                    let decode = self.take_decodes(view.decoding, decode_take);
+                    .any(|e| class(e) == Priority::Interactive && e.generated == 0);
+                if !(ttft_pending && best < Priority::Interactive) {
+                    let chunk = entry.chunk_tokens(view.prefill_chunk).max(1);
+                    let decode_take = view
+                        .decoding
+                        .len()
+                        .min(width - 1)
+                        .min(budget.saturating_sub(chunk));
+                    let spare_budget = budget.saturating_sub(chunk + decode_take);
+                    let extra = (spare_budget / chunk).min(width - 1 - decode_take);
+                    let prefill = batch((best, entry), 1 + extra);
+                    let decode = self.take_decodes(view.decoding, &class, decode_take);
                     return StepPlan::mixed(prefill, decode);
                 }
             }
-            return StepPlan::decode(self.take_decodes(view.decoding, width.min(budget)));
+            return StepPlan::decode(self.take_decodes(view.decoding, &class, width.min(budget)));
         }
-        let wants_prefill = !view.waiting_prefill.is_empty() && view.decoding.len() < width;
+        let wants_prefill = !waiting.is_empty() && view.decoding.len() < width;
         if wants_prefill && (view.decoding.is_empty() || !self.last_was_prefill) {
             self.last_was_prefill = true;
-            let spare = width - view.decoding.len();
-            // Serve the highest waiting class; within it, batch prompts
-            // matching the class lead's (length, cursor) so one invocation
-            // advances every selected prompt by the same chunk.
-            let lead = priority_lead(view.waiting_prefill);
-            let ids: Vec<RequestId> = view
-                .waiting_prefill
-                .iter()
-                .filter(|e| e.priority == lead.priority && e.len == lead.len && e.done == lead.done)
-                .take(spare)
-                .map(|e| e.id)
-                .collect();
-            return StepPlan::prefill(ids);
+            let lead = lead().expect("a prompt is waiting");
+            return StepPlan::prefill(batch(lead, width - view.decoding.len()));
         }
         self.last_was_prefill = false;
         if view.decoding.is_empty() {
             return StepPlan::idle();
         }
-        // Fill the batch interactive-first, then pad with batch-class
-        // streams; rotate within each class when it alone oversubscribes
-        // its share of the width.
-        StepPlan::decode(self.take_decodes(view.decoding, width))
+        StepPlan::decode(self.take_decodes(view.decoding, &class, width))
     }
+
+    /// Fills up to `take` decode slots interactive-first, padding with
+    /// batch-class streams; each class rotates round-robin.
+    fn take_decodes(
+        &mut self,
+        decoding: &[SchedEntry],
+        class: impl Fn(&SchedEntry) -> Priority,
+        take: usize,
+    ) -> Vec<RequestId> {
+        let mut ids = Vec::with_capacity(take.min(decoding.len()));
+        for (c, rotate) in [
+            (Priority::Interactive, &mut self.rotate_interactive),
+            (Priority::Batch, &mut self.rotate_batch),
+        ] {
+            let members = decoding.iter().filter(|e| class(e) == c);
+            rotate_take(rotate, members, take - ids.len(), &mut ids);
+        }
+        ids
+    }
+}
+
+/// Appends to `out` up to `take` ids from `list` starting at a rotating
+/// offset (identity when the list fits entirely), advancing the rotation
+/// counter. The rotating window is how the coalescing planner
+/// round-robins an oversubscribed class fairly instead of starving the
+/// tail of the admission order.
+fn rotate_take<'a>(
+    rotate: &mut usize,
+    list: impl Iterator<Item = &'a SchedEntry> + Clone,
+    take: usize,
+    out: &mut Vec<RequestId>,
+) {
+    let n = list.clone().count();
+    if n == 0 || take == 0 {
+        return;
+    }
+    let take = take.min(n);
+    let start = if n > take { *rotate % n } else { 0 };
+    *rotate = rotate.wrapping_add(take);
+    // Entry `(start + i) % n` of the list, for `i` in `0..take`.
+    out.extend(
+        list.clone()
+            .skip(start)
+            .chain(list)
+            .take(take)
+            .map(|e| e.id),
+    );
 }
 
 #[cfg(test)]
@@ -902,17 +853,39 @@ mod tests {
     fn priority_matches_cb_on_uniform_class() {
         // With a single class the priority scheduler degenerates to plain
         // continuous batching (same coalescing, same rotation) — budgeted
-        // or not.
-        let decoding: Vec<SchedEntry> = (0..6).map(|i| entry(i, 100)).collect();
-        for budget in [None, Some(768)] {
+        // or not — and CB sees interactive entries as batch-class ones.
+        let waiting = [entry(6, 64), interactive(7, 32), entry(8, 64)];
+        let decoding: Vec<SchedEntry> = (0..6)
+            .map(|i| {
+                if i % 2 == 0 {
+                    entry(i, 100)
+                } else {
+                    interactive(i, 100)
+                }
+            })
+            .collect();
+        let erase = |es: &[SchedEntry]| -> Vec<SchedEntry> {
+            es.iter()
+                .map(|e| SchedEntry {
+                    priority: Priority::Batch,
+                    ..*e
+                })
+                .collect()
+        };
+        let (one_class_waiting, one_class_decoding) = (erase(&waiting), erase(&decoding));
+        for budget in [None, Some(40), Some(768)] {
             let mut p = PriorityScheduler::new();
             let mut cb = ContinuousBatchScheduler::new();
-            let v = SchedView {
+            let at = |waiting, decoding| SchedView {
+                prefill_chunk: Some(32),
                 step_token_budget: budget,
-                ..view(&[], &decoding, 4)
+                ..view(waiting, decoding, 4)
             };
             for _ in 0..5 {
-                assert_eq!(p.plan(&v), cb.plan(&v));
+                assert_eq!(
+                    p.plan(&at(&one_class_waiting, &one_class_decoding)),
+                    cb.plan(&at(&waiting, &decoding))
+                );
             }
         }
     }

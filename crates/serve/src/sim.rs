@@ -212,6 +212,15 @@ pub enum ServeConfigError {
         /// The offending request.
         request: RequestId,
     },
+    /// A request's arrival cycle is finite but below zero. Simulated
+    /// clocks start at cycle 0, so the request would be admitted at 0 and
+    /// every latency measured from its arrival would carry the time before
+    /// cycle 0 (a −1 s arrival reports a TTFT 1 s too long). `-0.0` is
+    /// cycle 0 and stays valid.
+    NegativeArrival {
+        /// The offending request.
+        request: RequestId,
+    },
     /// A request's prompt is empty: it has nothing to prefill, so no
     /// scheduler step could ever serve it.
     EmptyPrompt {
@@ -285,6 +294,11 @@ impl std::fmt::Display for ServeConfigError {
                 f,
                 "request {request} has a non-finite arrival cycle: it could never be \
                  dispatched (only a closed-loop workload may hold +inf, unreleased slots)"
+            ),
+            ServeConfigError::NegativeArrival { request } => write!(
+                f,
+                "request {request} arrives at a negative cycle: the simulated clock \
+                 starts at 0, so the wait before it would inflate every latency"
             ),
             ServeConfigError::EmptyPrompt { request } => write!(
                 f,
@@ -742,8 +756,8 @@ impl<'a> ServeSim<'a> {
     }
 
     /// Checks a workload's internal consistency: every arrival cycle must
-    /// be finite (or `+∞`, an unreleased slot, in a closed-loop workload),
-    /// every prompt must hold at least one token, every declared
+    /// be finite (or `+∞`, an unreleased slot, in a closed-loop workload)
+    /// and not below zero, every prompt must hold at least one token, every declared
     /// [`crate::SharedPrefix`] must fit inside its request's prompt, and
     /// one [`PrefixId`] must always be declared with one length (ids are
     /// content-addressed).
@@ -751,6 +765,7 @@ impl<'a> ServeSim<'a> {
     /// # Errors
     ///
     /// Returns [`ServeConfigError::NonFiniteArrival`],
+    /// [`ServeConfigError::NegativeArrival`],
     /// [`ServeConfigError::EmptyPrompt`],
     /// [`ServeConfigError::PrefixExceedsPrompt`] or
     /// [`ServeConfigError::PrefixLengthConflict`] for the first
@@ -763,6 +778,9 @@ impl<'a> ServeSim<'a> {
             let unreleased_slot = closed && r.arrival_cycle == f64::INFINITY;
             if !(r.arrival_cycle.is_finite() || unreleased_slot) {
                 return Err(ServeConfigError::NonFiniteArrival { request: r.id });
+            }
+            if r.arrival_cycle < 0.0 {
+                return Err(ServeConfigError::NegativeArrival { request: r.id });
             }
             if r.prompt_len == 0 {
                 return Err(ServeConfigError::EmptyPrompt { request: r.id });
@@ -1450,8 +1468,10 @@ impl<'s, 'a> DeviceSim<'s, 'a> {
     /// In a mixed step the chunk members' KV residency grows to their new
     /// cursor and the piggybacked members' decode-token accounting (token
     /// counts, first-token stamps, per-token KV growth) lands in the same
-    /// step; the step is costed as chunk cost plus incremental
-    /// piggybacked-decode cost ([`StepCostModel::mixed_step_cost`]).
+    /// step; the step is costed as the chunk's
+    /// [`StepCostModel::prefill_chunk_cost`] plus the
+    /// [`StepCostModel::piggyback_decode_cost`] of its decodes, each
+    /// fleet-scaled.
     ///
     /// # Panics
     ///
@@ -2288,6 +2308,50 @@ mod tests {
             )
             .expect("closed-loop slots are valid");
         assert_eq!(report.completed, 3);
+    }
+
+    /// A negative arrival used to be served from cycle 0 with the time
+    /// before 0 charged to its latencies: on an idle device a −1 s
+    /// arrival reported a TTFT 1 s too long and missed any TTFT SLO under
+    /// it. Every entry point must reject it with a typed error, while
+    /// `-0.0` is cycle 0 and runs exactly like an arrival at 0.
+    #[test]
+    fn negative_arrivals_are_rejected_with_a_typed_error() {
+        let accel = Toy;
+        let sim = ServeSim::new(&accel, template(0.3), ServeConfig::default());
+        let fleet = [DeviceProfile::uniform(); 2];
+        let mut mk = || -> Box<dyn Scheduler> { Box::new(PriorityScheduler::new()) };
+        let at = |closed_loop: Option<usize>, arrival: f64| Workload {
+            requests: vec![
+                Request::from_task(0, &Task::cola(), 0.0),
+                Request::from_task(1, &Task::cola(), arrival),
+            ],
+            closed_loop,
+        };
+        let rejected = Err(ServeConfigError::NegativeArrival { request: 1 });
+        for (closed_loop, arrival) in [(None, -1e9), (None, -1e18), (None, -1.0), (Some(1), -1e9)] {
+            let w = at(closed_loop, arrival);
+            let label = format!("closed_loop {closed_loop:?}, arrival {arrival}");
+            assert_eq!(ServeSim::validate_workload(&w), rejected, "{label}");
+            let mut router = DispatchPolicy::RoundRobin.router();
+            let fleet_run = sim.try_run_fleet_with_router(&w, &fleet, &mut router, &mut mk);
+            assert_eq!(fleet_run.err(), rejected.err(), "{label}");
+            let single = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run(&w, &mut PriorityScheduler::new())
+            }));
+            let msg = single.expect_err("a single-device run must refuse");
+            let msg = msg
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains("negative cycle"), "{label}: {msg}");
+        }
+        // `-0.0` is cycle 0: the run is the arrival-at-0 run.
+        let w = at(None, -0.0);
+        assert_eq!(ServeSim::validate_workload(&w), Ok(()));
+        let report = sim.run(&w, &mut PriorityScheduler::new());
+        let at_zero = sim.run(&at(None, 0.0), &mut PriorityScheduler::new());
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.ttft, at_zero.ttft);
     }
 
     /// An empty prompt has nothing to prefill: alone it used to panic the

@@ -119,28 +119,10 @@ fn first_divergence(a: &ServeReport, b: &ServeReport) -> Option<ReplayMismatch> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcbp_serve::{
-        HandoffReport, LatencyStats, PoolReport, PreemptReport, PrefixReport, RunTotals, StepReport,
-    };
+    use mcbp_serve::LatencyStats;
 
     fn blank_report(completed_marker: usize) -> ServeReport {
-        ServeReport::summarize(
-            "s".to_string(),
-            vec![],
-            RunTotals {
-                duration_cycles: completed_marker as f64 + 1.0,
-                mean_decode_batch: 0.0,
-                peak_concurrency: 0,
-                energy_pj: 0.0,
-                offered_rps: None,
-                preempt: PreemptReport::default(),
-                handoff: HandoffReport::default(),
-                steps: StepReport::default(),
-                prefix: PrefixReport::default(),
-            },
-            PoolReport::default(),
-            vec![],
-        )
+        ServeReport::summarize("s".to_string(), vec![], completed_marker as f64 + 1.0)
     }
 
     #[test]
